@@ -102,10 +102,12 @@ benchdiff-engine:
 # The differential tier (see TESTING.md): the calendar-queue fast path
 # must schedule bit-identically to the reference heap. Runs the
 # engine-level trace comparison, the calq fuzz seeds + oracle tests, the
-# experiment-level result comparison for every registered kind, and the
-# whole des test suite pinned to the reference queue via the build tag.
+# experiment-level result comparison for every registered kind, the
+# placement and hop-distance oracles (counting-selection placement vs the
+# retained sort-based one, arithmetic Hops vs Coords), and the whole des
+# test suite pinned to the reference queue via the build tag.
 difftest:
-	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse' -v ./internal/des/... ./internal/experiment/
+	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/topology/
 	$(GO) test -tags desrefqueue ./internal/des/...
 
 # Coverage-guided fuzz smoke over the machine-preset validator. The

@@ -28,7 +28,9 @@ import (
 	"clustereval/internal/interconnect"
 	"clustereval/internal/machine"
 	"clustereval/internal/mpisim"
+	"clustereval/internal/sched"
 	"clustereval/internal/toolchain"
+	"clustereval/internal/topology"
 	"clustereval/internal/units"
 )
 
@@ -714,3 +716,68 @@ func BenchmarkMPISim_AllreduceRanks64(b *testing.B) { benchAllreduce(b, 64) }
 // BenchmarkMPISim_AllreduceRanks512 is the large-communicator collective:
 // rank spawn cost and event-queue pressure dominate here.
 func BenchmarkMPISim_AllreduceRanks512(b *testing.B) { benchAllreduce(b, 512) }
+
+// --- Layer benchmarks --------------------------------------------------------
+//
+// Topology hop distance and scheduler placement, the two layers under every
+// app sweep. They report allocations: placement's count is constant per
+// call, so a change in allocs/op pins a regression to these layers.
+
+// fugakuPartition is the node count the app sweeps place onto on the
+// fugaku preset.
+const fugakuPartition = 6144
+
+// hopsSink keeps benchmarked Hops calls live.
+var hopsSink int
+
+// BenchmarkTopology_Hops measures one hop-distance query on CTE-Arm's
+// TofuD and on the Fugaku partition, alternating, over strided node pairs.
+func BenchmarkTopology_Hops(b *testing.B) {
+	arm, err := topology.NewTofuD(machine.CTEArm().Nodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fug, err := topology.NewTofuD(fugakuPartition)
+	if err != nil {
+		b.Fatal(err)
+	}
+	topos := []*topology.Torus{arm, fug}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := topos[i&1]
+		n := t.Nodes()
+		hopsSink += t.Hops((i*7919)%n, (i*104729+13)%n)
+	}
+}
+
+// BenchmarkSched_Allocate places one job of each node count a sweep
+// requests, each on a fresh topology-aware scheduler as the app models do:
+// the Table IV counts on CTE-Arm and the doubling sweep on the Fugaku
+// partition. One op is the whole sweep.
+func BenchmarkSched_Allocate(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		nodes  int
+		counts []int
+	}{
+		{"cte-arm-192", machine.CTEArm().Nodes, core.TableIVNodes()},
+		{"fugaku-6144", fugakuPartition, scaling.DoublingSweep(1, fugakuPartition)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			topo, err := topology.NewTofuD(c.nodes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, n := range c.counts {
+					if _, err := sched.New(topo, sched.TopologyAware, 1).Allocate(n); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

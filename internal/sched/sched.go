@@ -8,6 +8,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"clustereval/internal/topology"
@@ -113,9 +114,16 @@ func (s *Scheduler) allocateRandom(n int) []int {
 }
 
 // allocateTopology grows the job around the free node whose neighbourhood
-// is densest: it tries each free node as a seed (sampled for big clusters),
-// collects the n nearest free nodes by hop distance, and keeps the seed
-// with the smallest total distance.
+// is densest: it tries each free node as a seed (every len(free)/48-th one
+// on big clusters), costs the seed by the summed hop distance of its n
+// nearest free nodes, ties broken on node index, and keeps the cheapest
+// seed. On equal cost the earlier seed wins.
+//
+// Hop distances are bounded by the diameter, so a seed is costed by
+// counting selection over a histogram of distances instead of a sort: the
+// call makes seeds × len(free) Hops calls and allocates a constant number
+// of buffers, reused across seeds. Only the winning seed's allocation is
+// built.
 func (s *Scheduler) allocateTopology(n int) []int {
 	free := make([]int, 0, s.FreeNodes())
 	for i, b := range s.busy {
@@ -127,53 +135,77 @@ func (s *Scheduler) allocateTopology(n int) []int {
 	if len(free) > 48 {
 		seedStride = len(free) / 48
 	}
-	bestCost := -1.0
-	var best []int
+	hops := make([]int, len(free))
+	hist := make([]int, s.topo.Diameter()+1)
+	bestSeed, bestCost := -1, 0
 	for si := 0; si < len(free); si += seedStride {
-		seed := free[si]
-		cand, cost := s.nearestFrom(seed, free, n)
-		if bestCost < 0 || cost < bestCost {
-			best, bestCost = cand, cost
+		s.distances(free[si], free, hops, hist)
+		if cost, _, _ := nearest(hist, n); bestSeed < 0 || cost < bestCost {
+			bestSeed, bestCost = free[si], cost
 		}
 	}
-	return best
-}
-
-// nearestFrom returns the n free nodes closest to seed and the summed hop
-// distance of the selection. Ties break on node index for determinism.
-func (s *Scheduler) nearestFrom(seed int, free []int, n int) ([]int, float64) {
-	type nd struct{ node, hops int }
-	ds := make([]nd, len(free))
-	for i, f := range free {
-		ds[i] = nd{node: f, hops: s.topo.Hops(seed, f)}
-	}
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].hops != ds[j].hops {
-			return ds[i].hops < ds[j].hops
+	s.distances(bestSeed, free, hops, hist)
+	_, cut, atCut := nearest(hist, n)
+	// free is ascending, so taking the first atCut nodes at the cut
+	// distance breaks ties on node index.
+	alloc := make([]int, 0, n)
+	for i, node := range free {
+		switch h := hops[i]; {
+		case h < cut:
+			alloc = append(alloc, node)
+		case h == cut && atCut > 0:
+			alloc = append(alloc, node)
+			atCut--
 		}
-		return ds[i].node < ds[j].node
-	})
-	alloc := make([]int, n)
-	cost := 0.0
-	for i := 0; i < n; i++ {
-		alloc[i] = ds[i].node
-		cost += float64(ds[i].hops)
 	}
-	return alloc, cost
+	return alloc
 }
 
-// Release frees an allocation. It fails on nodes that are not allocated,
-// leaving occupancy unchanged in that case.
+// distances fills hops[i] with the hop distance from seed to free[i] and
+// hist[h] with the number of free nodes at distance h.
+func (s *Scheduler) distances(seed int, free, hops, hist []int) {
+	clear(hist)
+	for i, node := range free {
+		h := s.topo.Hops(seed, node)
+		hops[i] = h
+		hist[h]++
+	}
+}
+
+// nearest selects the n closest nodes from a distance histogram: every
+// node nearer than cut, plus atCut of the nodes at distance cut. cost is
+// their summed distance.
+func nearest(hist []int, n int) (cost, cut, atCut int) {
+	for h, count := range hist {
+		if count >= n {
+			return cost + h*n, h, n
+		}
+		cost += h * count
+		n -= count
+	}
+	panic("sched: fewer free nodes than the job size")
+}
+
+// Release frees an allocation. It fails on nodes that are out of range,
+// not allocated, or listed twice, leaving occupancy unchanged in that case.
 func (s *Scheduler) Release(nodes []int) error {
-	for _, node := range nodes {
-		if node < 0 || node >= len(s.busy) {
-			return fmt.Errorf("sched: release of invalid node %d", node)
+	for i, node := range nodes {
+		var err error
+		switch {
+		case node < 0 || node >= len(s.busy):
+			err = fmt.Errorf("sched: release of invalid node %d", node)
+		case !s.busy[node] && slices.Contains(nodes[:i], node):
+			err = fmt.Errorf("sched: release lists node %d twice", node)
+		case !s.busy[node]:
+			err = fmt.Errorf("sched: release of free node %d", node)
 		}
-		if !s.busy[node] {
-			return fmt.Errorf("sched: release of free node %d", node)
+		if err != nil {
+			// Undo this call's frees: the nodes before i were all busy.
+			for _, done := range nodes[:i] {
+				s.busy[done] = true
+			}
+			return err
 		}
-	}
-	for _, node := range nodes {
 		s.busy[node] = false
 	}
 	s.nBusy -= len(nodes)

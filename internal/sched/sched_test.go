@@ -185,3 +185,40 @@ func TestPolicyStrings(t *testing.T) {
 		t.Error("policy names")
 	}
 }
+
+func TestReleaseRejectsDuplicates(t *testing.T) {
+	topo, err := topology.NewTofuD(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(topo, TopologyAware, 1)
+	a, err := s.Allocate(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Release([]int{a[0], a[0]}); err == nil {
+		t.Fatal("release listing a node twice accepted")
+	}
+	if s.FreeNodes() != 22 {
+		t.Fatalf("failed release changed occupancy: %d free, want 22", s.FreeNodes())
+	}
+	// A failure after some valid nodes must also undo those.
+	if err := s.Release([]int{a[0], a[1], 99}); err == nil {
+		t.Fatal("release of an invalid node accepted")
+	}
+	if _, err := s.Allocate(22); err != nil {
+		t.Fatal(err)
+	}
+	if s.FreeNodes() != 0 {
+		t.Fatalf("free = %d on a full machine", s.FreeNodes())
+	}
+	if alloc, err := s.Allocate(1); err == nil {
+		t.Fatalf("allocation from a full machine returned %v", alloc)
+	}
+	if err := s.Release(a); err != nil {
+		t.Fatal(err)
+	}
+	if s.FreeNodes() != 2 {
+		t.Errorf("free = %d after releasing the first job, want 2", s.FreeNodes())
+	}
+}

@@ -235,6 +235,8 @@ func TestCoordsPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { tf.Coords(-1) },
 		func() { tf.Coords(24) },
+		func() { tf.Hops(-1, 0) },
+		func() { tf.Hops(0, 24) },
 		func() { tf.Index([]int{0}) },
 		func() { tf.Index([]int{9, 0, 0, 0, 0, 0}) },
 	} {
@@ -248,3 +250,83 @@ func TestCoordsPanics(t *testing.T) {
 		}()
 	}
 }
+
+// coordsHops is the Coords-based hop distance Hops must reproduce.
+func coordsHops(t *Torus, a, b int) int {
+	ca, cb := t.Coords(a), t.Coords(b)
+	h := 0
+	for d, size := range t.Dims() {
+		diff := ca[d] - cb[d]
+		if diff < 0 {
+			diff = -diff
+		}
+		if t.wrap[d] && size-diff < diff {
+			diff = size - diff
+		}
+		h += diff
+	}
+	return h
+}
+
+func TestTorusHopsOracle(t *testing.T) {
+	mustTorus := func(name string, dims []int, wrap []bool) *Torus {
+		tr, err := NewTorus(name, dims, wrap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	var small []*Torus
+	for _, n := range []int{12, 24, 48, 192} {
+		tf, err := NewTofuD(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		small = append(small, tf)
+	}
+	small = append(small,
+		mustTorus("mesh", []int{5, 4, 3}, []bool{false, false, false}),
+		mustTorus("ring", []int{7, 1, 2, 5}, []bool{true, true, true, true}))
+	for _, tr := range small {
+		for a := 0; a < tr.Nodes(); a++ {
+			for b := 0; b < tr.Nodes(); b++ {
+				if got, want := tr.Hops(a, b), coordsHops(tr, a, b); got != want {
+					t.Fatalf("%s %v: Hops(%d, %d) = %d, want %d", tr.Name(), tr.Dims(), a, b, got, want)
+				}
+			}
+		}
+	}
+
+	partition, err := NewTofuD(6144)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fugaku machine preset's production shape.
+	fugaku := mustTorus("TofuD", []int{24, 23, 24, 2, 3, 2}, []bool{true, true, true, false, true, false})
+	r := xrand.New(17)
+	for _, tr := range []*Torus{partition, fugaku} {
+		n := tr.Nodes()
+		for trial := 0; trial < 20000; trial++ {
+			a, b := r.Intn(n), r.Intn(n)
+			if trial < 4 {
+				a, b = trial/2*(n-1), trial%2*(n-1) // the corners
+			}
+			if got, want := tr.Hops(a, b), coordsHops(tr, a, b); got != want {
+				t.Fatalf("%s %v: Hops(%d, %d) = %d, want %d", tr.Name(), tr.Dims(), a, b, got, want)
+			}
+		}
+	}
+}
+
+func TestTorusHopsAllocFree(t *testing.T) {
+	tf, err := NewTofuD(6144)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { hopsSink += tf.Hops(17, 6000) }); allocs != 0 {
+		t.Errorf("Hops allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+// hopsSink keeps measured Hops calls live.
+var hopsSink int
