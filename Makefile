@@ -59,12 +59,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race-detector smoke over the acceptance harnesses: shortened
-# fleettest and loadtest runs with every daemon (clusterd, clusterfleet,
-# loadgen) built -race. This drives the coordinator, supervisor, journal
+# Race-detector smoke over the acceptance harnesses: the single-daemon
+# crashtest plus shortened fleettest and loadtest runs, with every daemon
+# (clusterd, clusterfleet, loadgen) built -race. This drives the
+# SIGKILL/journal-recovery path and the coordinator, supervisor, journal
 # and worker machinery under real concurrent load with the detector on —
 # interleavings the unit-test race lane cannot reach.
 racesmoke:
+	RACE=1 $(GO) run ./scripts/crashtest
 	RACE=1 FLEETTEST_JOBS=20 $(GO) run ./scripts/fleettest
 	RACE=1 LOADTEST_SMOKE=1 $(GO) run ./scripts/loadtest
 

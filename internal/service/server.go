@@ -71,8 +71,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var overload *OverloadError
 	switch {
 	case err == nil:
+		// Keyed on the cache flag, not the state: a light uncached job
+		// can already be done by the time its view is taken.
 		code := http.StatusAccepted
-		if view.State == StateDone { // served from cache
+		if view.Cached {
 			code = http.StatusOK
 		}
 		writeJSON(w, code, view)

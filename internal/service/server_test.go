@@ -173,6 +173,30 @@ func TestEndToEndStreamMatchesFigures(t *testing.T) {
 	}
 }
 
+// TestSubmitStatusFollowsCacheFlag pins the submit status contract: 200
+// only for cache hits, 202 for every uncached job — including a light
+// one that a worker finishes before its submit response is written.
+// Submissions go straight to the handler, one at a time, so a worker is
+// free to win that race now and then.
+func TestSubmitStatusFollowsCacheFlag(t *testing.T) {
+	instant := func(context.Context, JobSpec) (*Result, error) { return &Result{}, nil }
+	svc := New(Config{Workers: 2, QueueDepth: 8192, runner: instant}) // never sheds
+	t.Cleanup(func() { _ = svc.Close(context.Background()) })
+	h := NewServer(svc)
+	for i := 0; i < 5000; i++ {
+		spec := fmt.Sprintf(`{"kind":"net","size_bytes":%d,"iters":1,"dst_node":1}`, 1024+i)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(spec)))
+		var v JobView
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+			t.Fatalf("%s: %v: %s", spec, err, rec.Body)
+		}
+		if !v.Cached && rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: uncached job (state %s) answered %d, want 202", spec, v.State, rec.Code)
+		}
+	}
+}
+
 func TestSubmitRejectsBadSpecs(t *testing.T) {
 	ts, _ := newTestServer(t, Config{Workers: 1})
 

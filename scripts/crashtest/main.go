@@ -8,38 +8,19 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
+
+	"clustereval/scripts/internal/harness"
 )
 
 const jobCount = 50
 
-// jobView mirrors the fields of service.JobView the harness asserts on.
-type jobView struct {
-	ID        string          `json:"id"`
-	State     string          `json:"state"`
-	Error     string          `json:"error"`
-	Recovered bool            `json:"recovered"`
-	Result    json.RawMessage `json:"result"`
-}
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "crashtest: FAIL:", err)
-		os.Exit(1)
-	}
-	fmt.Println("crashtest: PASS")
-}
+func main() { harness.Main("crashtest", run) }
 
 func run() error {
 	dir, err := os.MkdirTemp("", "clusterd-crashtest")
@@ -48,15 +29,19 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 
-	bin := filepath.Join(dir, "clusterd")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/clusterd")
-	if out, err := build.CombinedOutput(); err != nil {
-		return fmt.Errorf("building clusterd: %v\n%s", err, out)
+	bins, err := harness.Build(dir, "clusterd")
+	if err != nil {
+		return err
 	}
+	clusterd := bins[0]
 	journal := filepath.Join(dir, "journal.wal")
+	daemonArgs := []string{
+		"-addr", "127.0.0.1:0", "-workers", "2", "-journal", journal,
+		"-drain-timeout", "60s",
+	}
 
 	// Incarnation 1: submit the workload, kill it mid-flight.
-	daemon, base, err := startDaemon(bin, journal)
+	daemon, base, err := harness.Start(clusterd, daemonArgs...)
 	if err != nil {
 		return err
 	}
@@ -68,7 +53,7 @@ func run() error {
 		// lands while part of the workload is still queued or running.
 		spec := fmt.Sprintf(`{"kind":"net","size_bytes":%d,"iters":60,"src_node":0,"dst_node":%d}`,
 			4096+i*512, i+1)
-		v, code, err := post(base+"/v1/jobs", spec)
+		v, code, err := harness.Post(base+"/v1/jobs", spec)
 		if err != nil {
 			return fmt.Errorf("submitting job %d: %w", i, err)
 		}
@@ -80,7 +65,7 @@ func run() error {
 
 	// Let part of the workload finish so the journal holds a mix of
 	// terminal and in-flight jobs, then pull the plug.
-	if err := waitTerminalCount(base, ids, 5, 30*time.Second); err != nil {
+	if err := harness.WaitTerminal(base, ids, 5, 30*time.Second); err != nil {
 		return fmt.Errorf("before kill: %w", err)
 	}
 	if err := daemon.Process.Kill(); err != nil { // SIGKILL: no drain, no marker
@@ -90,18 +75,18 @@ func run() error {
 	fmt.Println("crashtest: daemon killed mid-workload")
 
 	// Incarnation 2: same journal; every job must come back and finish.
-	daemon2, base2, err := startDaemon(bin, journal)
+	daemon2, base2, err := harness.Start(clusterd, daemonArgs...)
 	if err != nil {
 		return fmt.Errorf("restarting: %w", err)
 	}
 	defer daemon2.Process.Kill()
 
-	if err := waitTerminalCount(base2, ids, jobCount, 120*time.Second); err != nil {
+	if err := harness.WaitTerminal(base2, ids, jobCount, 120*time.Second); err != nil {
 		return fmt.Errorf("after restart: %w", err)
 	}
 	recovered := 0
 	for _, id := range ids {
-		v, err := get(base2 + "/v1/jobs/" + id)
+		v, err := harness.Get(base2 + "/v1/jobs/" + id)
 		if err != nil {
 			return fmt.Errorf("job %s lost across the crash: %w", id, err)
 		}
@@ -117,7 +102,7 @@ func run() error {
 		return fmt.Errorf("%d/%d jobs marked recovered after restart", recovered, jobCount)
 	}
 
-	metrics, err := getText(base2 + "/v1/metrics")
+	metrics, err := harness.GetText(base2 + "/v1/metrics")
 	if err != nil {
 		return err
 	}
@@ -126,117 +111,9 @@ func run() error {
 	}
 
 	// A graceful stop must still work on the recovered journal.
-	if err := daemon2.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := harness.Stop(daemon2); err != nil {
 		return err
-	}
-	if err := daemon2.Wait(); err != nil {
-		return fmt.Errorf("daemon exited uncleanly after drain: %w", err)
 	}
 	fmt.Printf("crashtest: %d jobs recovered, all done after restart\n", jobCount)
 	return nil
-}
-
-// startDaemon launches clusterd on an ephemeral port and parses the bound
-// address from its startup banner.
-func startDaemon(bin, journal string) (*exec.Cmd, string, error) {
-	cmd := exec.Command(bin,
-		"-addr", "127.0.0.1:0", "-workers", "2", "-journal", journal,
-		"-drain-timeout", "60s")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, "", err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, "", err
-	}
-
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Println("  |", line)
-			if rest, ok := strings.CutPrefix(line, "clusterd listening on "); ok {
-				if i := strings.IndexByte(rest, ' '); i > 0 {
-					select {
-					case addrCh <- rest[:i]:
-					default:
-					}
-				}
-			}
-		}
-	}()
-
-	select {
-	case addr := <-addrCh:
-		return cmd, "http://" + addr, nil
-	case <-time.After(30 * time.Second):
-		_ = cmd.Process.Kill()
-		return nil, "", fmt.Errorf("daemon never announced its address")
-	}
-}
-
-// waitTerminalCount polls until at least n of the jobs are terminal.
-func waitTerminalCount(base string, ids []string, n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		terminal := 0
-		for _, id := range ids {
-			v, err := get(base + "/v1/jobs/" + id)
-			if err != nil {
-				return err
-			}
-			switch v.State {
-			case "done", "failed", "cancelled":
-				terminal++
-			}
-		}
-		if terminal >= n {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("only %d/%d jobs terminal after %v", terminal, n, timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func post(url, body string) (jobView, int, error) {
-	resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		return jobView{}, 0, err
-	}
-	defer resp.Body.Close()
-	var v jobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return jobView{}, resp.StatusCode, err
-	}
-	return v, resp.StatusCode, nil
-}
-
-func get(url string) (jobView, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return jobView{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return jobView{}, fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	var v jobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return jobView{}, err
-	}
-	return v, nil
-}
-
-func getText(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(resp.Body)
-	return string(buf), err
 }

@@ -16,17 +16,15 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
+
+	"clustereval/scripts/internal/harness"
 )
 
 const (
@@ -36,20 +34,7 @@ const (
 	submitRetryWait = 25 * time.Millisecond
 )
 
-type jobView struct {
-	ID     string          `json:"id"`
-	State  string          `json:"state"`
-	Error  string          `json:"error"`
-	Result json.RawMessage `json:"result"`
-}
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "disktest: FAIL:", err)
-		os.Exit(1)
-	}
-	fmt.Println("disktest: PASS")
-}
+func main() { harness.Main("disktest", run) }
 
 func run() error {
 	dir, err := os.MkdirTemp("", "clusterfleet-disktest")
@@ -58,22 +43,23 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 
-	clusterd := filepath.Join(dir, "clusterd")
-	clusterfleet := filepath.Join(dir, "clusterfleet")
-	for bin, pkg := range map[string]string{clusterd: "./cmd/clusterd", clusterfleet: "./cmd/clusterfleet"} {
-		build := exec.Command("go", "build", "-o", bin, pkg)
-		if out, err := build.CombinedOutput(); err != nil {
-			return fmt.Errorf("building %s: %v\n%s", pkg, err, out)
-		}
+	bins, err := harness.Build(dir, "clusterd", "clusterfleet")
+	if err != nil {
+		return err
 	}
+	clusterd, clusterfleet := bins[0], bins[1]
 	data := filepath.Join(dir, "fleet-data")
 
-	fleet, base, err := startFleet(clusterfleet, clusterd, data)
+	fleet, base, err := harness.Start(clusterfleet,
+		"-addr", "127.0.0.1:0", "-bin", clusterd, "-shards", "3", "-data", data,
+		"-replicas", "2", "-ack-quorum", "2",
+		"-workers", "2", "-queue", "512", "-probe-interval", "100ms")
 	if err != nil {
 		return err
 	}
 	defer fleet.Process.Kill()
-	if err := waitLiveShards(base, 3, 30*time.Second); err != nil {
+	threeLive := func(h harness.Health) bool { return h.LiveShards >= 3 }
+	if err := harness.WaitHealthz(base, 30*time.Second, threeLive); err != nil {
 		return err
 	}
 
@@ -100,11 +86,12 @@ func run() error {
 	// Let a chunk of the workload finish so the destroyed journal holds
 	// both terminal results (which must rehydrate) and in-flight jobs
 	// (which must re-run exactly once).
-	if err := waitTerminalCount(base, ids, terminalBefore, 120*time.Second); err != nil {
+	if err := harness.WaitTerminal(base, ids, terminalBefore, 120*time.Second); err != nil {
 		return fmt.Errorf("before disk loss: %w", err)
 	}
 
-	victim, pid, err := busiestShard(base, ids)
+	// Destroying the busiest shard maximizes what promotion must recover.
+	victim, pid, err := harness.BusiestShard(base, ids)
 	if err != nil {
 		return err
 	}
@@ -121,11 +108,11 @@ func run() error {
 
 	// Zero lost jobs: every acknowledged ID reaches a terminal state
 	// under its original fleet ID, served by the promoted journal.
-	if err := waitTerminalCount(base, ids, jobCount, 300*time.Second); err != nil {
+	if err := harness.WaitTerminal(base, ids, jobCount, 300*time.Second); err != nil {
 		return fmt.Errorf("after disk loss: %w", err)
 	}
 	for _, id := range ids {
-		v, err := get(base + "/v1/jobs/" + id)
+		v, err := harness.Get(base + "/v1/jobs/" + id)
 		if err != nil {
 			return fmt.Errorf("job %s lost across the disk loss: %w", id, err)
 		}
@@ -136,17 +123,17 @@ func run() error {
 	fmt.Printf("disktest: all %d jobs terminal under their original fleet IDs\n", jobCount)
 
 	// The failover must have gone through promotion, not a fresh journal.
-	topo, err := getTopology(base)
+	topo, err := harness.Fleet(base)
 	if err != nil {
 		return err
 	}
 	if topo.Promotions < 1 {
 		return fmt.Errorf("fleet reports %d promotions; the victim came back without its replica", topo.Promotions)
 	}
-	if err := waitLiveShards(base, 3, 60*time.Second); err != nil {
+	if err := harness.WaitHealthz(base, 60*time.Second, threeLive); err != nil {
 		return fmt.Errorf("victim never revived: %w", err)
 	}
-	metrics, err := getText(base + "/v1/metrics")
+	metrics, err := harness.GetText(base + "/v1/metrics")
 	if err != nil {
 		return err
 	}
@@ -157,267 +144,44 @@ func run() error {
 
 	// Merged health must be whole again, and the revived fleet must take
 	// fresh quorum-acknowledged work.
-	if err := waitHealthzOK(base, 60*time.Second); err != nil {
-		return err
+	if err := harness.WaitHealthz(base, 60*time.Second, func(h harness.Health) bool { return h.Status == "ok" }); err != nil {
+		return fmt.Errorf("merged healthz never recovered to ok: %w", err)
 	}
 	v, err := submitWithRetry(base, `{"kind":"net","size_bytes":2048,"iters":3,"dst_node":7}`)
 	if err != nil {
 		return fmt.Errorf("fresh submission after failover: %w", err)
 	}
-	if err := waitTerminalCount(base, []string{v.ID}, 1, 30*time.Second); err != nil {
+	if err := harness.WaitTerminal(base, []string{v.ID}, 1, 30*time.Second); err != nil {
 		return err
 	}
-	if err := stopFleet(fleet); err != nil {
+	if err := harness.Stop(fleet); err != nil {
 		return err
 	}
 	fmt.Printf("disktest: shard %s promoted from its follower and resumed service\n", victim)
 	return nil
 }
 
-// startFleet launches a replicated clusterfleet on an ephemeral port and
-// parses the bound address from its banner.
-func startFleet(clusterfleet, clusterd, data string) (*exec.Cmd, string, error) {
-	cmd := exec.Command(clusterfleet,
-		"-addr", "127.0.0.1:0", "-bin", clusterd, "-shards", "3", "-data", data,
-		"-replicas", "2", "-ack-quorum", "2",
-		"-workers", "2", "-queue", "512", "-probe-interval", "100ms")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, "", err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, "", err
-	}
-
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Println("  |", line)
-			if rest, ok := strings.CutPrefix(line, "clusterfleet listening on "); ok {
-				if i := strings.IndexByte(rest, ' '); i > 0 {
-					select {
-					case addrCh <- rest[:i]:
-					default:
-					}
-				}
-			}
-		}
-	}()
-
-	select {
-	case addr := <-addrCh:
-		return cmd, "http://" + addr, nil
-	case <-time.After(30 * time.Second):
-		_ = cmd.Process.Kill()
-		return nil, "", fmt.Errorf("clusterfleet never announced its address")
-	}
-}
-
-// stopFleet drains the coordinator and its children via SIGTERM.
-func stopFleet(cmd *exec.Cmd) error {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	if err := cmd.Wait(); err != nil {
-		return fmt.Errorf("clusterfleet exited uncleanly: %w", err)
-	}
-	return nil
-}
-
 // submitWithRetry submits one spec, retrying the verdicts the durability
 // contract declares retryable: 429 (shed), 503 (quorum miss, draining,
 // rerouting) and transport errors. Anything else is a hard failure.
-func submitWithRetry(base, spec string) (jobView, error) {
+func submitWithRetry(base, spec string) (harness.JobView, error) {
 	var lastErr error
 	for attempt := 0; attempt < submitAttempts; attempt++ {
-		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader([]byte(spec)))
-		if err != nil {
+		v, code, err := harness.Post(base+"/v1/jobs", spec)
+		switch {
+		case code == 0: // transport error
 			lastErr = err
-			time.Sleep(submitRetryWait)
-			continue
-		}
-		var v jobView
-		derr := json.NewDecoder(resp.Body).Decode(&v)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK, http.StatusAccepted:
-			if derr != nil {
-				return jobView{}, fmt.Errorf("decoding accepted submission: %w", derr)
+		case code == http.StatusOK || code == http.StatusAccepted:
+			if err != nil {
+				return harness.JobView{}, fmt.Errorf("decoding accepted submission: %w", err)
 			}
 			return v, nil
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			lastErr = fmt.Errorf("HTTP %d", resp.StatusCode)
-			time.Sleep(submitRetryWait)
+		case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
+			lastErr = fmt.Errorf("HTTP %d", code)
 		default:
-			return jobView{}, fmt.Errorf("HTTP %d (non-retryable)", resp.StatusCode)
+			return harness.JobView{}, fmt.Errorf("HTTP %d (non-retryable)", code)
 		}
+		time.Sleep(submitRetryWait)
 	}
-	return jobView{}, fmt.Errorf("gave up after %d attempts: %w", submitAttempts, lastErr)
-}
-
-// waitLiveShards polls /v1/healthz until the fleet reports n live shards.
-func waitLiveShards(base string, n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err == nil {
-			var report struct {
-				LiveShards int `json:"live_shards"`
-			}
-			derr := json.NewDecoder(resp.Body).Decode(&report)
-			resp.Body.Close()
-			if derr == nil && report.LiveShards >= n {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet never reached %d live shards", n)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// waitHealthzOK polls the merged health report until its status is "ok".
-func waitHealthzOK(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err == nil {
-			var report struct {
-				Status string `json:"status"`
-			}
-			derr := json.NewDecoder(resp.Body).Decode(&report)
-			resp.Body.Close()
-			if derr == nil && report.Status == "ok" {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("merged healthz never recovered to ok")
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// getTopology reads /v1/fleet.
-func getTopology(base string) (struct {
-	Promotions int `json:"promotions_total"`
-}, error) {
-	var topo struct {
-		Promotions int `json:"promotions_total"`
-	}
-	resp, err := http.Get(base + "/v1/fleet")
-	if err != nil {
-		return topo, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&topo); err != nil {
-		return topo, err
-	}
-	return topo, nil
-}
-
-// busiestShard finds the shard owning the most non-terminal jobs and its
-// child PID — destroying it maximizes what promotion must recover.
-func busiestShard(base string, ids []string) (string, int, error) {
-	inflight := map[string]int{}
-	for _, id := range ids {
-		v, err := get(base + "/v1/jobs/" + id)
-		if err != nil {
-			continue
-		}
-		switch v.State {
-		case "done", "failed", "cancelled":
-		default:
-			shard, _, ok := strings.Cut(id, "-")
-			if ok {
-				inflight[shard]++
-			}
-		}
-	}
-	resp, err := http.Get(base + "/v1/fleet")
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	var topo struct {
-		Shards []struct {
-			Name string `json:"name"`
-			Live bool   `json:"live"`
-			PID  int    `json:"pid"`
-		} `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&topo); err != nil {
-		return "", 0, err
-	}
-	best, bestPID, bestCount := "", 0, -1
-	for _, s := range topo.Shards {
-		if !s.Live || s.PID == 0 {
-			continue
-		}
-		if inflight[s.Name] > bestCount {
-			best, bestPID, bestCount = s.Name, s.PID, inflight[s.Name]
-		}
-	}
-	if best == "" {
-		return "", 0, fmt.Errorf("no live shard with a PID to destroy")
-	}
-	return best, bestPID, nil
-}
-
-// waitTerminalCount polls until at least n of the jobs are terminal.
-// Non-OK answers (a shard answers 503 while its child restarts) count as
-// not-terminal-yet and are retried.
-func waitTerminalCount(base string, ids []string, n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		terminal := 0
-		for _, id := range ids {
-			v, err := get(base + "/v1/jobs/" + id)
-			if err != nil {
-				continue
-			}
-			switch v.State {
-			case "done", "failed", "cancelled":
-				terminal++
-			}
-		}
-		if terminal >= n {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("only %d/%d jobs terminal after %v", terminal, n, timeout)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-func get(url string) (jobView, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return jobView{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return jobView{}, fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	var v jobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return jobView{}, err
-	}
-	return v, nil
-}
-
-func getText(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	_, err = buf.ReadFrom(resp.Body)
-	return buf.String(), err
+	return harness.JobView{}, fmt.Errorf("gave up after %d attempts: %w", submitAttempts, lastErr)
 }

@@ -12,58 +12,22 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
+
+	"clustereval/scripts/internal/harness"
 )
 
 // jobCount is overridable through FLEETTEST_JOBS for the race-detector
 // smoke lane, which trades workload size for instrumented builds.
-var jobCount = envInt("FLEETTEST_JOBS", 60)
+var jobCount = harness.EnvInt("FLEETTEST_JOBS", 60)
 
-// envInt reads a positive integer override from the environment.
-func envInt(name string, def int) int {
-	if v := os.Getenv(name); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return def
-}
-
-// goBuild compiles pkg into bin, adding -race when the RACE environment
-// variable is set (the smoke lane runs every daemon instrumented).
-func goBuild(bin, pkg string) *exec.Cmd {
-	args := []string{"build"}
-	if os.Getenv("RACE") != "" {
-		args = append(args, "-race")
-	}
-	return exec.Command("go", append(args, "-o", bin, pkg)...)
-}
-
-type jobView struct {
-	ID     string          `json:"id"`
-	State  string          `json:"state"`
-	Error  string          `json:"error"`
-	Result json.RawMessage `json:"result"`
-}
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "fleettest: FAIL:", err)
-		os.Exit(1)
-	}
-	fmt.Println("fleettest: PASS")
-}
+func main() { harness.Main("fleettest", run) }
 
 func run() error {
 	dir, err := os.MkdirTemp("", "clusterfleet-test")
@@ -72,22 +36,24 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 
-	clusterd := filepath.Join(dir, "clusterd")
-	clusterfleet := filepath.Join(dir, "clusterfleet")
-	for bin, pkg := range map[string]string{clusterd: "./cmd/clusterd", clusterfleet: "./cmd/clusterfleet"} {
-		if out, err := goBuild(bin, pkg).CombinedOutput(); err != nil {
-			return fmt.Errorf("building %s: %v\n%s", pkg, err, out)
-		}
+	bins, err := harness.Build(dir, "clusterd", "clusterfleet")
+	if err != nil {
+		return err
 	}
-	data := filepath.Join(dir, "fleet-data")
+	clusterd, clusterfleet := bins[0], bins[1]
+	fleetArgs := []string{
+		"-addr", "127.0.0.1:0", "-bin", clusterd, "-shards", "3", "-data", filepath.Join(dir, "fleet-data"),
+		"-workers", "2", "-queue", "128", "-probe-interval", "100ms",
+	}
+	threeLive := func(h harness.Health) bool { return h.LiveShards >= 3 }
 
 	// Incarnation 1: run the workload, kill a shard mid-flight.
-	fleet, base, err := startFleet(clusterfleet, clusterd, data)
+	fleet, base, err := harness.Start(clusterfleet, fleetArgs...)
 	if err != nil {
 		return err
 	}
 	defer fleet.Process.Kill()
-	if err := waitLiveShards(base, 3, 30*time.Second); err != nil {
+	if err := harness.WaitHealthz(base, 30*time.Second, threeLive); err != nil {
 		return err
 	}
 
@@ -98,7 +64,7 @@ func run() error {
 		// lands while part of the workload is queued or running.
 		spec := fmt.Sprintf(`{"kind":"net","size_bytes":%d,"iters":60,"src_node":0,"dst_node":%d}`,
 			4096+i*512, 1+i%31)
-		v, code, err := post(base+"/v1/jobs", spec)
+		v, code, err := harness.Post(base+"/v1/jobs", spec)
 		if err != nil {
 			return fmt.Errorf("submitting job %d: %w", i, err)
 		}
@@ -114,10 +80,10 @@ func run() error {
 
 	// Let part of the workload finish, then SIGKILL the shard with the
 	// most jobs still in flight.
-	if err := waitTerminalCount(base, ids, 10, 60*time.Second); err != nil {
+	if err := harness.WaitTerminal(base, ids, 10, 60*time.Second); err != nil {
 		return fmt.Errorf("before kill: %w", err)
 	}
-	victim, pid, err := busiestShard(base, ids)
+	victim, pid, err := harness.BusiestShard(base, ids)
 	if err != nil {
 		return err
 	}
@@ -128,11 +94,11 @@ func run() error {
 
 	// The supervisor must restart it with the same journal; every job
 	// reaches exactly one terminal state under its original fleet ID.
-	if err := waitTerminalCount(base, ids, jobCount, 180*time.Second); err != nil {
+	if err := harness.WaitTerminal(base, ids, jobCount, 180*time.Second); err != nil {
 		return fmt.Errorf("after shard kill: %w", err)
 	}
 	for _, id := range ids {
-		v, err := get(base + "/v1/jobs/" + id)
+		v, err := harness.Get(base + "/v1/jobs/" + id)
 		if err != nil {
 			return fmt.Errorf("job %s lost across the shard kill: %w", id, err)
 		}
@@ -140,7 +106,7 @@ func run() error {
 			return fmt.Errorf("job %s ended %q (%s), want done with a result", id, v.State, v.Error)
 		}
 	}
-	metrics, err := getText(base + "/v1/metrics")
+	metrics, err := harness.GetText(base + "/v1/metrics")
 	if err != nil {
 		return err
 	}
@@ -154,22 +120,22 @@ func run() error {
 
 	// Graceful fleet stop, then incarnation 2 against the same journals:
 	// every result must still resolve under its original fleet ID.
-	if err := stopFleet(fleet); err != nil {
+	if err := harness.Stop(fleet); err != nil {
 		return err
 	}
-	fleet2, base2, err := startFleet(clusterfleet, clusterd, data)
+	fleet2, base2, err := harness.Start(clusterfleet, fleetArgs...)
 	if err != nil {
 		return fmt.Errorf("restarting fleet: %w", err)
 	}
 	defer fleet2.Process.Kill()
-	if err := waitLiveShards(base2, 3, 30*time.Second); err != nil {
+	if err := harness.WaitHealthz(base2, 30*time.Second, threeLive); err != nil {
 		return fmt.Errorf("after fleet restart: %w", err)
 	}
-	if err := waitTerminalCount(base2, ids, jobCount, 120*time.Second); err != nil {
+	if err := harness.WaitTerminal(base2, ids, jobCount, 120*time.Second); err != nil {
 		return fmt.Errorf("after fleet restart: %w", err)
 	}
 	for _, id := range ids {
-		v, err := get(base2 + "/v1/jobs/" + id)
+		v, err := harness.Get(base2 + "/v1/jobs/" + id)
 		if err != nil {
 			return fmt.Errorf("job %s lost across the fleet restart: %w", id, err)
 		}
@@ -178,205 +144,16 @@ func run() error {
 		}
 	}
 	// The restarted fleet still takes fresh work.
-	v, code, err := post(base2+"/v1/jobs", `{"kind":"net","size_bytes":2048,"iters":5,"dst_node":7}`)
+	v, code, err := harness.Post(base2+"/v1/jobs", `{"kind":"net","size_bytes":2048,"iters":5,"dst_node":7}`)
 	if err != nil || (code != http.StatusAccepted && code != http.StatusOK) {
 		return fmt.Errorf("fresh submission after fleet restart: HTTP %d, %v", code, err)
 	}
-	if err := waitTerminalCount(base2, []string{v.ID}, 1, 30*time.Second); err != nil {
+	if err := harness.WaitTerminal(base2, []string{v.ID}, 1, 30*time.Second); err != nil {
 		return err
 	}
-	if err := stopFleet(fleet2); err != nil {
+	if err := harness.Stop(fleet2); err != nil {
 		return err
 	}
 	fmt.Printf("fleettest: %d jobs intact across a full fleet restart\n", jobCount)
 	return nil
-}
-
-// startFleet launches clusterfleet on an ephemeral port and parses the
-// bound address from its banner.
-func startFleet(clusterfleet, clusterd, data string) (*exec.Cmd, string, error) {
-	cmd := exec.Command(clusterfleet,
-		"-addr", "127.0.0.1:0", "-bin", clusterd, "-shards", "3", "-data", data,
-		"-workers", "2", "-queue", "128", "-probe-interval", "100ms")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, "", err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, "", err
-	}
-
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Println("  |", line)
-			if rest, ok := strings.CutPrefix(line, "clusterfleet listening on "); ok {
-				if i := strings.IndexByte(rest, ' '); i > 0 {
-					select {
-					case addrCh <- rest[:i]:
-					default:
-					}
-				}
-			}
-		}
-	}()
-
-	select {
-	case addr := <-addrCh:
-		return cmd, "http://" + addr, nil
-	case <-time.After(30 * time.Second):
-		_ = cmd.Process.Kill()
-		return nil, "", fmt.Errorf("clusterfleet never announced its address")
-	}
-}
-
-// stopFleet drains the coordinator and its children via SIGTERM.
-func stopFleet(cmd *exec.Cmd) error {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	if err := cmd.Wait(); err != nil {
-		return fmt.Errorf("clusterfleet exited uncleanly: %w", err)
-	}
-	return nil
-}
-
-// waitLiveShards polls /v1/healthz until the fleet reports n live shards.
-func waitLiveShards(base string, n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err == nil {
-			var report struct {
-				LiveShards int `json:"live_shards"`
-			}
-			derr := json.NewDecoder(resp.Body).Decode(&report)
-			resp.Body.Close()
-			if derr == nil && report.LiveShards >= n {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet never reached %d live shards", n)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// busiestShard finds the shard owning the most non-terminal jobs and its
-// child PID.
-func busiestShard(base string, ids []string) (string, int, error) {
-	inflight := map[string]int{}
-	for _, id := range ids {
-		v, err := get(base + "/v1/jobs/" + id)
-		if err != nil {
-			continue
-		}
-		switch v.State {
-		case "done", "failed", "cancelled":
-		default:
-			shard, _, ok := strings.Cut(id, "-")
-			if ok {
-				inflight[shard]++
-			}
-		}
-	}
-	resp, err := http.Get(base + "/v1/fleet")
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	var topo struct {
-		Shards []struct {
-			Name string `json:"name"`
-			Live bool   `json:"live"`
-			PID  int    `json:"pid"`
-		} `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&topo); err != nil {
-		return "", 0, err
-	}
-	best, bestPID, bestCount := "", 0, -1
-	for _, s := range topo.Shards {
-		if !s.Live || s.PID == 0 {
-			continue
-		}
-		if inflight[s.Name] > bestCount {
-			best, bestPID, bestCount = s.Name, s.PID, inflight[s.Name]
-		}
-	}
-	if best == "" {
-		return "", 0, fmt.Errorf("no live shard with a PID to kill")
-	}
-	return best, bestPID, nil
-}
-
-// waitTerminalCount polls until at least n of the jobs are terminal.
-// Non-OK answers (a down shard answers 503 while its child restarts) are
-// counted as not-terminal-yet and retried.
-func waitTerminalCount(base string, ids []string, n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		terminal := 0
-		for _, id := range ids {
-			v, err := get(base + "/v1/jobs/" + id)
-			if err != nil {
-				continue
-			}
-			switch v.State {
-			case "done", "failed", "cancelled":
-				terminal++
-			}
-		}
-		if terminal >= n {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("only %d/%d jobs terminal after %v", terminal, n, timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func post(url, body string) (jobView, int, error) {
-	resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		return jobView{}, 0, err
-	}
-	defer resp.Body.Close()
-	var v jobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return jobView{}, resp.StatusCode, err
-	}
-	return v, resp.StatusCode, nil
-}
-
-func get(url string) (jobView, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return jobView{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return jobView{}, fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	var v jobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return jobView{}, err
-	}
-	return v, nil
-}
-
-func getText(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	_, err = buf.ReadFrom(resp.Body)
-	return buf.String(), err
 }

@@ -12,18 +12,17 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
+
+	"clustereval/scripts/internal/harness"
 )
 
 // smoke marks the shortened race-detector lane (LOADTEST_SMOKE=1):
@@ -36,29 +35,14 @@ var smoke = os.Getenv("LOADTEST_SMOKE") != ""
 // Two phases of 2500 submissions each: ≥5k jobs through the fleet per
 // run, most answered from the shards' result caches once the unique
 // pools are primed. Overridable through LOADTEST_JOBS; the smoke lane
-// defaults to 600 per phase.
-var phaseJobs = defaultPhaseJobs()
+// defaults to 300 per phase.
+var phaseJobs = harness.EnvInt("LOADTEST_JOBS", defaultPhaseJobs())
 
 func defaultPhaseJobs() int {
-	if v := os.Getenv("LOADTEST_JOBS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
 	if smoke {
 		return 300
 	}
 	return 2500
-}
-
-// goBuild compiles pkg into bin, adding -race when the RACE environment
-// variable is set.
-func goBuild(bin, pkg string) *exec.Cmd {
-	args := []string{"build"}
-	if os.Getenv("RACE") != "" {
-		args = append(args, "-race")
-	}
-	return exec.Command("go", append(args, "-o", bin, pkg)...)
 }
 
 // report mirrors the loadgen JSON report fields the harness asserts on.
@@ -72,13 +56,7 @@ type report struct {
 	Lost      int `json:"lost"`
 }
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "loadtest: FAIL:", err)
-		os.Exit(1)
-	}
-	fmt.Println("loadtest: PASS")
-}
+func main() { harness.Main("loadtest", run) }
 
 func run() error {
 	dir, err := os.MkdirTemp("", "clusterfleet-loadtest")
@@ -87,21 +65,21 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 
-	bins := map[string]string{}
-	for _, name := range []string{"clusterd", "clusterfleet", "loadgen"} {
-		bin := filepath.Join(dir, name)
-		if out, err := goBuild(bin, "./cmd/"+name).CombinedOutput(); err != nil {
-			return fmt.Errorf("building %s: %v\n%s", name, err, out)
-		}
-		bins[name] = bin
+	bins, err := harness.Build(dir, "clusterd", "clusterfleet", "loadgen")
+	if err != nil {
+		return err
 	}
+	clusterd, clusterfleet, loadgen := bins[0], bins[1], bins[2]
 
-	fleet, base, err := startFleet(bins["clusterfleet"], bins["clusterd"], filepath.Join(dir, "fleet-data"))
+	fleet, base, err := harness.Start(clusterfleet,
+		"-addr", "127.0.0.1:0", "-bin", clusterd, "-shards", "3", "-data", filepath.Join(dir, "fleet-data"),
+		"-workers", "4", "-queue", "512", "-cache", "4096", "-probe-interval", "100ms")
 	if err != nil {
 		return err
 	}
 	defer fleet.Process.Kill()
-	if err := waitHealthy(base, 3, 30*time.Second); err != nil {
+	healthy := func(h harness.Health) bool { return h.Status == "ok" && h.LiveShards >= 3 }
+	if err := harness.WaitHealthz(base, 30*time.Second, healthy); err != nil {
 		return err
 	}
 
@@ -109,7 +87,7 @@ func run() error {
 	// this is a correctness gate that also happens to measure, not a
 	// benchmark: CI machines are noisy.
 	fmt.Println("loadtest: phase 1 — sustained mixed load")
-	rep1, err := runLoadgen(bins["loadgen"], base, phaseArgs(phaseJobs, 1), nil)
+	rep1, err := runLoadgen(loadgen, base, phaseArgs(phaseJobs, 1), nil)
 	if err != nil {
 		return fmt.Errorf("phase 1: %w", err)
 	}
@@ -127,7 +105,7 @@ func run() error {
 	// still demands zero lost jobs: the killed shard's journal recovery
 	// and the coordinator's failover must absorb the crash.
 	fmt.Println("loadtest: phase 2 — chaos: SIGKILL one shard mid-workload")
-	rep2, err := runLoadgen(bins["loadgen"], base, phaseArgs(phaseJobs, 2), func() error {
+	rep2, err := runLoadgen(loadgen, base, phaseArgs(phaseJobs, 2), func() error {
 		time.Sleep(2 * time.Second)
 		name, pid, err := anyLiveShard(base)
 		if err != nil {
@@ -148,11 +126,8 @@ func run() error {
 		// driving the concurrent machinery under instrumented builds,
 		// not proving health-window recovery, which needs the full-size
 		// cooldown below.
-		if err := fleet.Process.Signal(syscall.SIGTERM); err != nil {
+		if err := harness.Stop(fleet); err != nil {
 			return err
-		}
-		if err := fleet.Wait(); err != nil {
-			return fmt.Errorf("clusterfleet exited uncleanly: %w", err)
 		}
 		fmt.Printf("loadtest: smoke run, %d jobs across both phases\n", rep1.Jobs+rep2.Jobs)
 		return nil
@@ -174,16 +149,16 @@ func run() error {
 		"-fault-every=-1", "-deadline-ms", "600000",
 		"-concurrency", "12", "-rate", "400", "-poll-timeout", "3m",
 	}
-	if _, err := runLoadgen(bins["loadgen"], base, cooldown, nil); err != nil {
+	if _, err := runLoadgen(loadgen, base, cooldown, nil); err != nil {
 		return fmt.Errorf("phase 3: %w", err)
 	}
 
 	// The fleet must converge back to healthy and the merged surfaces
 	// must account for all of it.
-	if err := waitHealthy(base, 3, 60*time.Second); err != nil {
+	if err := harness.WaitHealthz(base, 60*time.Second, healthy); err != nil {
 		return fmt.Errorf("fleet did not recover after chaos: %w", err)
 	}
-	metrics, err := getText(base + "/v1/metrics")
+	metrics, err := harness.GetText(base + "/v1/metrics")
 	if err != nil {
 		return err
 	}
@@ -202,11 +177,8 @@ func run() error {
 		return fmt.Errorf("supervisor reported no restarts after the chaos kill")
 	}
 
-	if err := fleet.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := harness.Stop(fleet); err != nil {
 		return err
-	}
-	if err := fleet.Wait(); err != nil {
-		return fmt.Errorf("clusterfleet exited uncleanly: %w", err)
 	}
 	fmt.Printf("loadtest: %d jobs across both phases, SLOs met\n", rep1.Jobs+rep2.Jobs)
 	return nil
@@ -280,85 +252,10 @@ func runLoadgen(bin, base string, args []string, chaos func() error) (*report, e
 	return &rep, nil
 }
 
-// startFleet launches clusterfleet on an ephemeral port and parses the
-// bound address from its banner.
-func startFleet(clusterfleet, clusterd, data string) (*exec.Cmd, string, error) {
-	cmd := exec.Command(clusterfleet,
-		"-addr", "127.0.0.1:0", "-bin", clusterd, "-shards", "3", "-data", data,
-		"-workers", "4", "-queue", "512", "-cache", "4096", "-probe-interval", "100ms")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, "", err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, "", err
-	}
-
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "clusterfleet listening on "); ok {
-				if i := strings.IndexByte(rest, ' '); i > 0 {
-					select {
-					case addrCh <- rest[:i]:
-					default:
-					}
-				}
-			}
-		}
-	}()
-
-	select {
-	case addr := <-addrCh:
-		return cmd, "http://" + addr, nil
-	case <-time.After(30 * time.Second):
-		_ = cmd.Process.Kill()
-		return nil, "", fmt.Errorf("clusterfleet never announced its address")
-	}
-}
-
-// waitHealthy polls /v1/healthz until the fleet reports status ok with n
-// live shards.
-func waitHealthy(base string, n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err == nil {
-			var rep struct {
-				Status     string `json:"status"`
-				LiveShards int    `json:"live_shards"`
-			}
-			derr := json.NewDecoder(resp.Body).Decode(&rep)
-			resp.Body.Close()
-			if derr == nil && rep.Status == "ok" && rep.LiveShards >= n {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet never reached ok with %d live shards", n)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
 // anyLiveShard picks a live supervised shard to kill.
 func anyLiveShard(base string) (string, int, error) {
-	resp, err := http.Get(base + "/v1/fleet")
+	topo, err := harness.Fleet(base)
 	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	var topo struct {
-		Shards []struct {
-			Name string `json:"name"`
-			Live bool   `json:"live"`
-			PID  int    `json:"pid"`
-		} `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&topo); err != nil {
 		return "", 0, err
 	}
 	for _, s := range topo.Shards {
@@ -367,15 +264,4 @@ func anyLiveShard(base string) (string, int, error) {
 		}
 	}
 	return "", 0, fmt.Errorf("no live shard with a PID")
-}
-
-func getText(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	_, err = buf.ReadFrom(resp.Body)
-	return buf.String(), err
 }
