@@ -28,6 +28,7 @@ func (e *Evaluation) Conclusions() ([]Finding, error) {
 	for _, r := range rows {
 		byApp[r.App] = r
 	}
+	apps := []string{"Alya", "OpenIFS", "Gromacs", "WRF", "NEMO"}
 
 	var out []Finding
 
@@ -53,7 +54,7 @@ func (e *Evaluation) Conclusions() ([]Finding, error) {
 	// 2. "The HPC applications tested suffer a slow-down between 1.6x and
 	//    3.4x compared to MareNostrum 4."
 	minSlow, maxSlow := 1e9, 0.0
-	for _, app := range []string{"Alya", "OpenIFS", "Gromacs", "WRF", "NEMO"} {
+	for _, app := range apps {
 		for _, c := range byApp[app].Cells {
 			if c.NA || c.NP {
 				continue
@@ -139,7 +140,7 @@ func (e *Evaluation) Conclusions() ([]Finding, error) {
 		}
 	}
 	appsLose := true
-	for _, app := range []string{"Alya", "OpenIFS", "Gromacs", "WRF", "NEMO"} {
+	for _, app := range apps {
 		for _, c := range byApp[app].Cells {
 			if !c.NA && !c.NP && c.Speedup >= 1 {
 				appsLose = false

@@ -1,12 +1,13 @@
-// Package core is the evaluation framework tying the reproduction together:
-// it owns the two machine models, regenerates every table of the paper
-// (hardware configuration, build configurations, and the Table IV speedup
-// summary) and exposes figure-level data products for the command-line
-// tools and examples.
+// Package core regenerates the paper's tables over the CTE-Arm vs
+// MareNostrum 4 pair: the hardware configuration (Table I), the STREAM
+// and application build configurations (Tables II and III), the Table IV
+// speedup summary, and the Section VI conclusions re-derived from it.
 package core
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"clustereval/internal/apps/alya"
@@ -19,6 +20,7 @@ import (
 	"clustereval/internal/machine"
 	"clustereval/internal/report"
 	"clustereval/internal/toolchain"
+	"clustereval/internal/units"
 )
 
 // Evaluation binds the two systems under comparison.
@@ -134,249 +136,176 @@ type Row struct {
 // TableIVNodes are the columns of Table IV.
 func TableIVNodes() []int { return []int{1, 16, 32, 64, 128, 192} }
 
+// speedupRow declares one Table IV row. TableIV decides every cell from
+// it: NP where the case does not fit on either machine, N/A where the
+// paper has no measurement, the speedup otherwise.
+type speedupRow struct {
+	app string
+	// model builds the row's model on one machine.
+	model func(m machine.Machine) (rowModel, error)
+	// measured reports whether the paper measured the n-node column.
+	measured func(n int) bool
+	// perf marks a performance metric, whose speedup is Arm/Ref. Every
+	// other row measures a time, whose speedup is Ref/Arm.
+	perf bool
+}
+
+// rowModel is one Table IV row's model on one machine.
+type rowModel struct {
+	// fits is the memory-floor rule: whether the case fits on n nodes.
+	// Nil means every node count fits.
+	fits func(n int) bool
+	// metric is the row's performance or time on n nodes.
+	metric func(n int) (float64, error)
+}
+
+func every(int) bool { return true }
+
+func upTo(max int) func(int) bool { return func(n int) bool { return n <= max } }
+
+func atLeast(min int) func(int) bool { return func(n int) bool { return n >= min } }
+
+func only(cols ...int) func(int) bool {
+	return func(n int) bool { return slices.Contains(cols, n) }
+}
+
+func seconds(t units.Seconds, err error) (float64, error) { return float64(t), err }
+
+// tableIVRows are Table IV's rows in the paper's order, with the columns
+// the paper measured.
+var tableIVRows = []speedupRow{
+	{app: "LINPACK", measured: every, perf: true, model: func(m machine.Machine) (rowModel, error) {
+		return rowModel{metric: func(n int) (float64, error) {
+			r, err := hpl.Predict(m, n)
+			return float64(r.Perf), err
+		}}, nil
+	}},
+	{app: "HPCG", measured: only(1, 192), perf: true, model: func(m machine.Machine) (rowModel, error) {
+		return rowModel{metric: func(n int) (float64, error) {
+			r, err := hpcg.Predict(m, hpcg.Optimized, n)
+			return float64(r.Perf), err
+		}}, nil
+	}},
+	{app: "Alya", measured: upTo(64), model: func(m machine.Machine) (rowModel, error) {
+		mod, err := alya.NewModel(m, alya.TestCaseB())
+		if err != nil {
+			return rowModel{}, err
+		}
+		return rowModel{fits: atLeast(mod.MinNodes()), metric: func(n int) (float64, error) {
+			_, _, t, err := mod.StepTimes(n)
+			return float64(t), err
+		}}, nil
+	}},
+	// OpenIFS runs the TL255L91 case on one node and TC0511L91 above it.
+	{app: "OpenIFS", measured: upTo(128), model: func(m machine.Machine) (rowModel, error) {
+		single, err := openifs.NewModel(m, openifs.TL255L91())
+		if err != nil {
+			return rowModel{}, err
+		}
+		multi, err := openifs.NewModel(m, openifs.TC0511L91())
+		if err != nil {
+			return rowModel{}, err
+		}
+		cores := m.Node.Cores()
+		return rowModel{
+			fits: func(n int) bool { return n == 1 || n >= multi.MinNodes() },
+			metric: func(n int) (float64, error) {
+				if n == 1 {
+					return seconds(single.DayTime(1, cores))
+				}
+				return seconds(multi.DayTime(n, n*cores))
+			},
+		}, nil
+	}},
+	{app: "Gromacs", measured: every, model: func(m machine.Machine) (rowModel, error) {
+		mod, err := gromacs.NewModel(m, gromacs.LignocelluloseRF())
+		if err != nil {
+			return rowModel{}, err
+		}
+		return rowModel{metric: func(n int) (float64, error) {
+			return seconds(mod.StepTime(gromacs.Layout{Nodes: n, Ranks: 8 * n, ThreadsPerRank: 6}))
+		}}, nil
+	}},
+	{app: "WRF", measured: upTo(64), model: func(m machine.Machine) (rowModel, error) {
+		mod, err := wrf.NewModel(m, wrf.Iberia4km())
+		if err != nil {
+			return rowModel{}, err
+		}
+		return rowModel{metric: func(n int) (float64, error) { return seconds(mod.ElapsedTime(n, true)) }}, nil
+	}},
+	{app: "NEMO", measured: only(16), model: func(m machine.Machine) (rowModel, error) {
+		mod, err := nemo.NewModel(m, nemo.BenchORCA1())
+		if err != nil {
+			return rowModel{}, err
+		}
+		return rowModel{fits: atLeast(mod.MinNodes()), metric: func(n int) (float64, error) {
+			return seconds(mod.ExecutionTime(n))
+		}}, nil
+	}},
+}
+
 // TableIV computes the speedup summary of the paper's conclusions: the
 // performance of CTE-Arm relative to MareNostrum 4 at equal node counts.
 func (e *Evaluation) TableIV() ([]Row, error) {
-	nodes := TableIVNodes()
-	var rows []Row
-
-	// LINPACK: measured at every column.
-	linpack := Row{App: "LINPACK"}
-	for _, n := range nodes {
-		a, err := hpl.Predict(e.Arm, n)
+	rows := make([]Row, 0, len(tableIVRows))
+	for _, r := range tableIVRows {
+		row, err := e.speedups(r)
 		if err != nil {
-			return nil, fmt.Errorf("core: linpack: %w", err)
+			return nil, fmt.Errorf("core: %s: %w", r.app, err)
 		}
-		m, err := hpl.Predict(e.Ref, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: linpack: %w", err)
-		}
-		linpack.Cells = append(linpack.Cells, Cell{Nodes: n, Speedup: float64(a.Perf) / float64(m.Perf)})
+		rows = append(rows, row)
 	}
-	rows = append(rows, linpack)
-
-	// HPCG: the paper measured 1 and 192 nodes only.
-	hpcgRow := Row{App: "HPCG"}
-	for _, n := range nodes {
-		if n != 1 && n != 192 {
-			hpcgRow.Cells = append(hpcgRow.Cells, Cell{Nodes: n, NA: true})
-			continue
-		}
-		a, err := hpcg.Predict(e.Arm, hpcg.Optimized, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: hpcg: %w", err)
-		}
-		m, err := hpcg.Predict(e.Ref, hpcg.Optimized, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: hpcg: %w", err)
-		}
-		hpcgRow.Cells = append(hpcgRow.Cells, Cell{Nodes: n, Speedup: float64(a.Perf) / float64(m.Perf)})
-	}
-	rows = append(rows, hpcgRow)
-
-	alyaRow, err := e.alyaRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, alyaRow)
-
-	oifsRow, err := e.openifsRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, oifsRow)
-
-	gmxRow, err := e.gromacsRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, gmxRow)
-
-	wrfRow, err := e.wrfRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, wrfRow)
-
-	nemoRow, err := e.nemoRow(nodes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, nemoRow)
-
 	return rows, nil
 }
 
-func (e *Evaluation) alyaRow(nodes []int) (Row, error) {
-	ma, err := alya.NewModel(e.Arm, alya.TestCaseB())
+// speedups evaluates one Table IV row over every column.
+func (e *Evaluation) speedups(r speedupRow) (Row, error) {
+	arm, err := r.model(e.Arm)
 	if err != nil {
 		return Row{}, err
 	}
-	mm, err := alya.NewModel(e.Ref, alya.TestCaseB())
+	ref, err := r.model(e.Ref)
 	if err != nil {
 		return Row{}, err
 	}
-	row := Row{App: "Alya"}
-	for _, n := range nodes {
+	row := Row{App: r.app}
+	for _, n := range TableIVNodes() {
+		c := Cell{Nodes: n}
 		switch {
-		case n < ma.MinNodes() || n < mm.MinNodes():
-			row.Cells = append(row.Cells, Cell{Nodes: n, NP: true})
-		case n > 64: // the paper measured up to 64/78 nodes
-			row.Cells = append(row.Cells, Cell{Nodes: n, NA: true})
+		case !arm.fitsOn(n) || !ref.fitsOn(n):
+			c.NP = true
+		case !r.measured(n):
+			c.NA = true
 		default:
-			_, _, ta, err := ma.StepTimes(n)
+			a, err := arm.metric(n)
 			if err != nil {
 				return Row{}, err
 			}
-			_, _, tm, err := mm.StepTimes(n)
+			b, err := ref.metric(n)
 			if err != nil {
 				return Row{}, err
 			}
-			row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
+			c.Speedup = b / a
+			if r.perf {
+				c.Speedup = a / b
+			}
 		}
+		row.Cells = append(row.Cells, c)
 	}
 	return row, nil
 }
 
-func (e *Evaluation) openifsRow(nodes []int) (Row, error) {
-	singleA, err := openifs.NewModel(e.Arm, openifs.TL255L91())
-	if err != nil {
-		return Row{}, err
-	}
-	singleM, err := openifs.NewModel(e.Ref, openifs.TL255L91())
-	if err != nil {
-		return Row{}, err
-	}
-	multiA, err := openifs.NewModel(e.Arm, openifs.TC0511L91())
-	if err != nil {
-		return Row{}, err
-	}
-	multiM, err := openifs.NewModel(e.Ref, openifs.TC0511L91())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "OpenIFS"}
-	cores := e.Arm.Node.Cores()
-	for _, n := range nodes {
-		switch {
-		case n == 1:
-			ta, err := singleA.DayTime(1, cores)
-			if err != nil {
-				return Row{}, err
-			}
-			tm, err := singleM.DayTime(1, cores)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-		case n < multiA.MinNodes():
-			row.Cells = append(row.Cells, Cell{Nodes: n, NP: true})
-		case n > 128:
-			row.Cells = append(row.Cells, Cell{Nodes: n, NA: true})
-		default:
-			ta, err := multiA.DayTime(n, n*cores)
-			if err != nil {
-				return Row{}, err
-			}
-			tm, err := multiM.DayTime(n, n*cores)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-		}
-	}
-	return row, nil
-}
-
-func (e *Evaluation) gromacsRow(nodes []int) (Row, error) {
-	ma, err := gromacs.NewModel(e.Arm, gromacs.LignocelluloseRF())
-	if err != nil {
-		return Row{}, err
-	}
-	mm, err := gromacs.NewModel(e.Ref, gromacs.LignocelluloseRF())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "Gromacs"}
-	for _, n := range nodes {
-		l := gromacs.Layout{Nodes: n, Ranks: 8 * n, ThreadsPerRank: 6}
-		ta, err := ma.StepTime(l)
-		if err != nil {
-			return Row{}, err
-		}
-		tm, err := mm.StepTime(l)
-		if err != nil {
-			return Row{}, err
-		}
-		row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-	}
-	return row, nil
-}
-
-func (e *Evaluation) wrfRow(nodes []int) (Row, error) {
-	ma, err := wrf.NewModel(e.Arm, wrf.Iberia4km())
-	if err != nil {
-		return Row{}, err
-	}
-	mm, err := wrf.NewModel(e.Ref, wrf.Iberia4km())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "WRF"}
-	for _, n := range nodes {
-		if n > 64 { // the paper measured up to 64 nodes
-			row.Cells = append(row.Cells, Cell{Nodes: n, NA: true})
-			continue
-		}
-		ta, err := ma.ElapsedTime(n, true)
-		if err != nil {
-			return Row{}, err
-		}
-		tm, err := mm.ElapsedTime(n, true)
-		if err != nil {
-			return Row{}, err
-		}
-		row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-	}
-	return row, nil
-}
-
-func (e *Evaluation) nemoRow(nodes []int) (Row, error) {
-	ma, err := nemo.NewModel(e.Arm, nemo.BenchORCA1())
-	if err != nil {
-		return Row{}, err
-	}
-	mm, err := nemo.NewModel(e.Ref, nemo.BenchORCA1())
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: "NEMO"}
-	for _, n := range nodes {
-		switch {
-		case n < ma.MinNodes():
-			row.Cells = append(row.Cells, Cell{Nodes: n, NP: true})
-		case n != 16: // the paper reports only the 16-node comparison
-			row.Cells = append(row.Cells, Cell{Nodes: n, NA: true})
-		default:
-			ta, err := ma.ExecutionTime(n)
-			if err != nil {
-				return Row{}, err
-			}
-			tm, err := mm.ExecutionTime(n)
-			if err != nil {
-				return Row{}, err
-			}
-			row.Cells = append(row.Cells, Cell{Nodes: n, Speedup: float64(tm) / float64(ta)})
-		}
-	}
-	return row, nil
-}
+func (m rowModel) fitsOn(n int) bool { return m.fits == nil || m.fits(n) }
 
 // RenderTableIV formats the rows as the paper's Table IV.
 func RenderTableIV(rows []Row) *report.Table {
+	headers := []string{"Applications"}
+	for _, n := range TableIVNodes() {
+		headers = append(headers, strconv.Itoa(n))
+	}
 	t := &report.Table{
 		Title:   "Table IV: speedup of CTE-Arm relative to MareNostrum 4",
-		Headers: []string{"Applications", "1", "16", "32", "64", "128", "192"},
+		Headers: headers,
 	}
 	for _, r := range rows {
 		cells := []string{r.App}

@@ -33,9 +33,9 @@ func init() {
 					case *kind != "":
 						return RunKind(context.Background(), *kind, *spec, os.Stdout)
 					case *out != "":
-						return ExportAll(*out)
+						return ExportAll(os.Stdout, *out)
 					default:
-						return Eval(*table, *figure, *csv)
+						return Eval(os.Stdout, *table, *figure, *csv)
 					}
 				})
 			}
@@ -71,259 +71,107 @@ func RunKind(ctx context.Context, kind, params string, w io.Writer) error {
 	return enc.Encode(res)
 }
 
-// Eval reproduces the paper's tables and figures on stdout: everything by
-// default, or one table / one figure when selected.
-func Eval(table, figure int, csv bool) error {
-	ev := core.New()
+// Eval reproduces the paper's tables and figures on w: everything by
+// default, or one table / one figure when selected. With csv, tables are
+// written as CSV; plots and the heatmap keep their text rendering.
+func Eval(w io.Writer, table, figure int, csv bool) error {
 	pair := figures.Default()
-
-	emitTable := func(t *report.Table) error {
-		if csv {
-			return t.CSV(os.Stdout)
-		}
-		if err := t.Render(os.Stdout); err != nil {
+	emit := func(a figures.Artefact) error {
+		out, err := a.Make(pair)
+		if err != nil {
 			return err
 		}
-		fmt.Println()
-		return nil
-	}
-
-	tables := map[int]func() (*report.Table, error){
-		1: func() (*report.Table, error) { return ev.TableI(), nil },
-		2: func() (*report.Table, error) { return ev.TableII(), nil },
-		3: func() (*report.Table, error) { return ev.TableIII(), nil },
-		4: func() (*report.Table, error) {
-			rows, err := ev.TableIV()
-			if err != nil {
-				return nil, err
-			}
-			return core.RenderTableIV(rows), nil
-		},
-	}
-
-	figs := map[int]func() error{
-		1: func() error {
-			t, err := pair.Figure1()
-			if err != nil {
-				return err
-			}
-			return emitTable(t)
-		},
-		2: func() error {
-			plot, _, err := pair.Figure2()
-			if err != nil {
-				return err
-			}
-			return plot.Render(os.Stdout)
-		},
-		3: func() error {
-			t, _, err := pair.Figure3()
-			if err != nil {
-				return err
-			}
-			return emitTable(t)
-		},
-		4: func() error {
-			hm, raw, err := pair.Figure4(256)
-			if err != nil {
-				return err
-			}
-			if err := hm.Render(os.Stdout); err != nil {
-				return err
-			}
-			for _, d := range raw.DegradedReceivers(0.5) {
-				fmt.Printf("degraded receiver detected: node %d\n", d)
-			}
-			return nil
-		},
-		5: func() error {
-			t, _, err := pair.Figure5()
-			if err != nil {
-				return err
-			}
-			return emitTable(t)
-		},
-		6: func() error {
-			plot, _, err := pair.Figure6()
-			if err != nil {
-				return err
-			}
-			return plot.Render(os.Stdout)
-		},
-		7: func() error {
-			t, _, err := pair.Figure7()
-			if err != nil {
-				return err
-			}
-			return emitTable(t)
-		},
-		8:  plotFig(pair.Figure8),
-		9:  plotFig(pair.Figure9),
-		10: plotFig(pair.Figure10),
-		11: plotFig(pair.Figure11),
-		12: plotFig(pair.Figure12),
-		13: plotFig(pair.Figure13),
-		14: plotFig(pair.Figure14),
-		15: plotFig(pair.Figure15),
-		16: plotFig(pair.Figure16),
+		t, ok := out.(*report.Table)
+		if !ok {
+			return out.Render(w)
+		}
+		if csv {
+			return t.CSV(w)
+		}
+		if err := t.Render(w); err != nil {
+			return err
+		}
+		_, err = fmt.Fprintln(w)
+		return err
 	}
 
 	switch {
 	case table > 0:
-		f, ok := tables[table]
+		a, ok := figures.Lookup(fmt.Sprintf("table%d", table))
 		if !ok {
 			return fmt.Errorf("no table %d (valid: 1..4)", table)
 		}
-		t, err := f()
-		if err != nil {
-			return err
-		}
-		return emitTable(t)
+		return emit(a)
 	case figure > 0:
-		f, ok := figs[figure]
+		a, ok := figures.Lookup(fmt.Sprintf("fig%d", figure))
 		if !ok {
 			return fmt.Errorf("no figure %d (valid: 1..16)", figure)
 		}
-		return f()
-	default:
-		for i := 1; i <= 4; i++ {
-			t, err := tables[i]()
-			if err != nil {
-				return err
-			}
-			if err := emitTable(t); err != nil {
-				return err
-			}
-		}
-		for i := 1; i <= 16; i++ {
-			if err := figs[i](); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		// Section VI: the paper's conclusions, re-derived and checked.
-		findings, err := ev.Conclusions()
-		if err != nil {
+		return emit(a)
+	}
+	for _, a := range figures.Artefacts() {
+		if err := emit(a); err != nil {
 			return err
 		}
-		fmt.Println("Conclusions (Section VI), checked against the models:")
-		for _, f := range findings {
-			mark := "ok  "
-			if !f.Holds {
-				mark = "FAIL"
-			}
-			fmt.Printf("  [%s] %s — %s\n", mark, f.Statement, f.Evidence)
+		if strings.HasPrefix(a.Name, "fig") {
+			fmt.Fprintln(w)
 		}
-		return nil
 	}
-}
-
-func plotFig(f func() (*report.Plot, error)) func() error {
-	return func() error {
-		plot, err := f()
-		if err != nil {
-			return err
+	// Section VI: the paper's conclusions, re-derived and checked.
+	findings, err := core.New().Conclusions()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "Conclusions (Section VI), checked against the models:")
+	for _, f := range findings {
+		mark := "ok  "
+		if !f.Holds {
+			mark = "FAIL"
 		}
-		return plot.Render(os.Stdout)
+		fmt.Fprintf(w, "  [%s] %s — %s\n", mark, f.Statement, f.Evidence)
 	}
+	return nil
 }
 
 // ExportAll writes every table and figure of the reproduction as CSV
-// files under dir, so the data can be replotted with external tooling.
-func ExportAll(dir string) error {
+// files under dir, in paper order, so the data can be replotted with
+// external tooling. Each file written is logged on w.
+func ExportAll(w io.Writer, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, emit func(w io.Writer) error) error {
-		path := filepath.Join(dir, name)
+	write := func(name string, out figures.Output) error {
+		path := filepath.Join(dir, name+".csv")
 		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}
-		if err := emit(f); err != nil {
+		if err := out.CSV(f); err != nil {
 			f.Close()
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Println("wrote", path)
+		fmt.Fprintln(w, "wrote", path)
 		return nil
 	}
 
-	ev := core.New()
 	pair := figures.Default()
-
-	tables := map[string]func() (*report.Table, error){
-		"table1.csv": func() (*report.Table, error) { return ev.TableI(), nil },
-		"table2.csv": func() (*report.Table, error) { return ev.TableII(), nil },
-		"table3.csv": func() (*report.Table, error) { return ev.TableIII(), nil },
-		"table4.csv": func() (*report.Table, error) {
-			rows, err := ev.TableIV()
-			if err != nil {
-				return nil, err
-			}
-			return core.RenderTableIV(rows), nil
-		},
-		"fig1.csv": func() (*report.Table, error) { return pair.Figure1() },
-		"fig3.csv": func() (*report.Table, error) {
-			t, _, err := pair.Figure3()
-			return t, err
-		},
-		"fig5.csv": func() (*report.Table, error) {
-			t, _, err := pair.Figure5()
-			return t, err
-		},
-		"fig7.csv": func() (*report.Table, error) {
-			t, _, err := pair.Figure7()
-			return t, err
-		},
-		// Beyond the paper: modeled energy-to-solution for every workload
-		// on every registered machine preset.
-		"energy.csv": func() (*report.Table, error) { return figures.EnergyToSolution() },
-	}
-	for name, get := range tables {
-		t, err := get()
+	for _, a := range figures.Artefacts() {
+		out, err := a.Make(pair)
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", a.Name, err)
 		}
-		if err := write(name, t.CSV); err != nil {
+		if err := write(a.Name, out); err != nil {
 			return err
 		}
 	}
-
-	plots := map[string]func() (*report.Plot, error){
-		"fig2.csv": func() (*report.Plot, error) {
-			p, _, err := pair.Figure2()
-			return p, err
-		},
-		"fig6.csv": func() (*report.Plot, error) {
-			p, _, err := pair.Figure6()
-			return p, err
-		},
-		"fig8.csv":  pair.Figure8,
-		"fig9.csv":  pair.Figure9,
-		"fig10.csv": pair.Figure10,
-		"fig11.csv": pair.Figure11,
-		"fig12.csv": pair.Figure12,
-		"fig13.csv": pair.Figure13,
-		"fig14.csv": pair.Figure14,
-		"fig15.csv": pair.Figure15,
-		"fig16.csv": pair.Figure16,
-	}
-	for name, get := range plots {
-		p, err := get()
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if err := write(name, p.CSV); err != nil {
-			return err
-		}
-	}
-
-	hm, _, err := pair.Figure4(256)
+	// Beyond the paper: modeled energy-to-solution for every workload on
+	// every registered machine preset.
+	energy, err := figures.EnergyToSolution()
 	if err != nil {
-		return err
+		return fmt.Errorf("energy: %w", err)
 	}
-	return write("fig4.csv", hm.CSV)
+	return write("energy", energy)
 }

@@ -19,7 +19,6 @@ import (
 	"clustereval/internal/interconnect"
 	"clustereval/internal/machine"
 	"clustereval/internal/omp"
-	"clustereval/internal/report"
 	"clustereval/internal/topology"
 	"clustereval/internal/units"
 )
@@ -88,20 +87,7 @@ func StreamBench(verify, threads int) error {
 		return nil
 	}
 
-	p := figures.Default()
-	plot, _, err := p.Figure2()
-	if err != nil {
-		return err
-	}
-	if err := plot.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	t, _, err := p.Figure3()
-	if err != nil {
-		return err
-	}
-	return t.Render(os.Stdout)
+	return render(figures.Default(), "fig2", "fig3")
 }
 
 // FPUBench runs the FPU µKernel experiment (paper Section III-A, Fig. 1):
@@ -114,12 +100,7 @@ func FPUBench(iters int, variability bool) error {
 	if err != nil {
 		return err
 	}
-	p := figures.Default()
-	t, err := p.Figure1()
-	if err != nil {
-		return err
-	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := render(figures.Default(), "fig1"); err != nil {
 		return err
 	}
 	// Checksums prove real arithmetic ran.
@@ -300,12 +281,7 @@ func HPCGBench(verify, threads int) error {
 		return nil
 	}
 
-	p := figures.Default()
-	t, runs, err := p.Figure7()
-	if err != nil {
-		return err
-	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := render(figures.Default(), "fig7"); err != nil {
 		return err
 	}
 	fmt.Println()
@@ -320,7 +296,6 @@ func HPCGBench(verify, threads int) error {
 	for _, k := range envKeys {
 		fmt.Printf("  %s=%s\n", k, params.EnvVars[k])
 	}
-	_ = runs
 	return nil
 }
 
@@ -328,24 +303,10 @@ func HPCGBench(verify, threads int) error {
 // application per invocation (empty app = all of them), printing each
 // scalability figure and the paper's headline comparisons. The menu and
 // its order come from the experiment registry's application catalog — the
-// same source the "app" job kind validates against.
+// same source the "app" job kind validates against — and each
+// application's figures from the paper's artefact list.
 func AppBench(app string, seed uint64) error {
-	p := figures.WithSeed(seed)
-	type figFn struct {
-		name string
-		fn   func() (*report.Plot, error)
-	}
-	apps := map[string][]figFn{
-		"alya": {
-			{"Fig. 8", p.Figure8}, {"Fig. 9", p.Figure9}, {"Fig. 10", p.Figure10},
-		},
-		"nemo":    {{"Fig. 11", p.Figure11}},
-		"gromacs": {{"Fig. 12", p.Figure12}, {"Fig. 13", p.Figure13}},
-		"openifs": {{"Fig. 14", p.Figure14}, {"Fig. 15", p.Figure15}},
-		"wrf":     {{"Fig. 16", p.Figure16}},
-	}
 	order := experiment.AppNames()
-
 	selected := order
 	if app != "" {
 		if _, ok := experiment.AppByName(app); !ok {
@@ -353,17 +314,18 @@ func AppBench(app string, seed uint64) error {
 		}
 		selected = []string{app}
 	}
+	p := figures.WithSeed(seed)
 	for _, name := range selected {
-		for _, f := range apps[name] {
-			plot, err := f.fn()
-			if err != nil {
-				return err
+		var figs []string
+		for _, a := range figures.Artefacts() {
+			if a.App == name {
+				figs = append(figs, a.Name)
 			}
-			if err := plot.Render(os.Stdout); err != nil {
-				return err
-			}
-			fmt.Println()
 		}
+		if err := render(p, figs...); err != nil {
+			return err
+		}
+		fmt.Println()
 		if name == "alya" {
 			if err := alyaHighlights(p); err != nil {
 				return err
@@ -373,29 +335,42 @@ func AppBench(app string, seed uint64) error {
 	return nil
 }
 
+// render prints the named artefacts of p on stdout in their text form,
+// separated by blank lines.
+func render(p figures.Pair, names ...string) error {
+	for i, name := range names {
+		a, ok := figures.Lookup(name)
+		if !ok {
+			return fmt.Errorf("no artefact %q", name)
+		}
+		out, err := a.Make(p)
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			fmt.Println()
+		}
+		if err := out.Render(os.Stdout); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // alyaHighlights prints the equivalence points the paper calls out.
 func alyaHighlights(p figures.Pair) error {
-	arm, mn4 := p.Arm, p.Ref
-	cte, ref, err := alya.Figure8(arm, mn4)
-	if err != nil {
-		return err
+	for _, phase := range []struct {
+		name string
+		fig  func(arm, mn4 machine.Machine) (cte, ref scaling.Series, err error)
+	}{{"time step", alya.Figure8}, {"Assembly", alya.Figure9}, {"Solver", alya.Figure10}} {
+		cte, ref, err := phase.fig(p.Arm, p.Ref)
+		if err != nil {
+			return err
+		}
+		target, _ := ref.TimeAt(12)
+		fmt.Printf("Alya: %d CTE-Arm nodes match 12 MareNostrum 4 nodes (%s)\n",
+			scaling.MatchingNodes(cte, target), phase.name)
 	}
-	target, _ := ref.TimeAt(12)
-	fmt.Printf("Alya: %d CTE-Arm nodes match 12 MareNostrum 4 nodes (time step)\n",
-		scaling.MatchingNodes(cte, target))
-	cteA, refA, err := alya.Figure9(arm, mn4)
-	if err != nil {
-		return err
-	}
-	targetA, _ := refA.TimeAt(12)
-	fmt.Printf("Alya: %d CTE-Arm nodes match 12 MareNostrum 4 nodes (Assembly)\n",
-		scaling.MatchingNodes(cteA, targetA))
-	cteS, refS, err := alya.Figure10(arm, mn4)
-	if err != nil {
-		return err
-	}
-	targetS, _ := refS.TimeAt(12)
-	fmt.Printf("Alya: %d CTE-Arm nodes match 12 MareNostrum 4 nodes (Solver)\n\n",
-		scaling.MatchingNodes(cteS, targetS))
+	fmt.Println()
 	return nil
 }

@@ -1,11 +1,11 @@
-// Package figures regenerates every figure of the paper as a renderable
-// report object. The per-kind experiment wiring — machine pair, Table II
-// builds, application catalog — lives in the internal/experiment registry;
-// this package drives those same registry entry points and adds only the
-// presentation (plots, tables, heatmaps). The command-line tools and
-// examples are thin wrappers over this package; the benchmark harness
-// (bench_test.go) drives the same entry points so that `go test -bench`
-// reproduces the full evaluation.
+// Package figures regenerates every table and figure of the paper as a
+// renderable report object. Artefacts lists them once, in paper order,
+// for the command-line tools. The per-kind experiment wiring — machine
+// pair, Table II builds, application catalog — lives in the
+// internal/experiment registry; this package drives those same registry
+// entry points and adds only the presentation (plots, tables, heatmaps).
+// The benchmark harness (bench_test.go) drives the same entry points so
+// that `go test -bench` reproduces the full evaluation.
 package figures
 
 import (
