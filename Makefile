@@ -9,7 +9,7 @@ GO ?= go
 # cannot run" without chasing @latest breakage).
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build vet lint lint-json clusterlint staticcheck test race racesmoke cover bench bench-baseline benchdiff benchdiff-engine difftest fuzz profile ablation paper export serve fleet examples crashtest fleettest disktest loadtest clean
+.PHONY: all build vet perfbench lint lint-json clusterlint staticcheck test race racesmoke cover bench bench-baseline benchdiff benchdiff-engine difftest fuzz profile ablation paper export serve fleet examples crashtest fleettest disktest loadtest clean
 
 all: build lint test
 
@@ -18,6 +18,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is a nested module, so the root build and vet skip it. Vet
+# and test it against the repository here, so an API change in the
+# packages it drives (core, figures, experiment) cannot break the
+# benchmark unnoticed.
+perfbench:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # Static analysis tier (see TESTING.md): go vet, staticcheck, and the
 # repo's own clusterlint analyzers driven through `go vet -vettool`.
