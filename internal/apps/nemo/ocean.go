@@ -242,10 +242,3 @@ func updatedNoWrapY(f *Field, p Params, i, j int) float64 {
 	diff := p.Kappa * (w + e + s + n - 4*c)
 	return c + adv + diff
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
