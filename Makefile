@@ -19,12 +19,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# perfbench/ is a nested module, so the root build and vet skip it. Vet
-# and test it against the repository here, so an API change in the
-# packages it drives (core, figures, experiment) cannot break the
-# benchmark unnoticed.
+# perfbench/ is a nested module, so the root build, vet and tidiness
+# check skip it. Check, vet and test it against the repository here, so
+# an API change in the packages it drives (core, figures, experiment)
+# cannot break the benchmark unnoticed.
 perfbench:
-	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+	cd perfbench && GOWORK=off $(GO) mod tidy -diff && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # Static analysis tier (see TESTING.md): go vet, staticcheck, and the
 # repo's own clusterlint analyzers driven through `go vet -vettool`.

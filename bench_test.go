@@ -38,6 +38,21 @@ func pairMachines() (machine.Machine, machine.Machine) {
 	return machine.CTEArm(), machine.MareNostrum4()
 }
 
+// appCurves runs a per-machine application figure once on each machine and
+// returns the first curve of each.
+func appCurves(b *testing.B, fig func(machine.Machine) ([]scaling.Series, error), arm, mn4 machine.Machine) (cte, ref scaling.Series) {
+	b.Helper()
+	a, err := fig(arm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := fig(mn4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return a[0], m[0]
+}
+
 // BenchmarkTable1_HardwareModel validates and re-derives the Table I
 // hardware quantities.
 func BenchmarkTable1_HardwareModel(b *testing.B) {
@@ -356,10 +371,8 @@ func BenchmarkFig8_Alya(b *testing.B) {
 	arm, mn4 := pairMachines()
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
-		cte, ref, err := alya.Figure8(arm, mn4)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cte, ref := appCurves(b, alya.Figure8, arm, mn4)
+		var err error
 		slowdown, err = scaling.Slowdown(cte, ref, 12)
 		if err != nil {
 			b.Fatal(err)
@@ -374,10 +387,8 @@ func BenchmarkFig9_AlyaAssembly(b *testing.B) {
 	var slowdown float64
 	var crossover int
 	for i := 0; i < b.N; i++ {
-		cte, ref, err := alya.Figure9(arm, mn4)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cte, ref := appCurves(b, alya.Figure9, arm, mn4)
+		var err error
 		slowdown, err = scaling.Slowdown(cte, ref, 12)
 		if err != nil {
 			b.Fatal(err)
@@ -395,10 +406,8 @@ func BenchmarkFig10_AlyaSolver(b *testing.B) {
 	var slowdown float64
 	var crossover int
 	for i := 0; i < b.N; i++ {
-		cte, ref, err := alya.Figure10(arm, mn4)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cte, ref := appCurves(b, alya.Figure10, arm, mn4)
+		var err error
 		slowdown, err = scaling.Slowdown(cte, ref, 12)
 		if err != nil {
 			b.Fatal(err)
@@ -416,10 +425,8 @@ func BenchmarkFig11_NEMO(b *testing.B) {
 	arm, mn4 := pairMachines()
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
-		cte, ref, err := nemo.Figure11(arm, mn4)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cte, ref := appCurves(b, nemo.Figure11, arm, mn4)
+		var err error
 		slowdown, err = scaling.Slowdown(cte, ref, 16)
 		if err != nil {
 			b.Fatal(err)
@@ -490,10 +497,7 @@ func BenchmarkFig13_GromacsScale(b *testing.B) {
 	arm, mn4 := pairMachines()
 	var anomaly float64
 	for i := 0; i < b.N; i++ {
-		cte, _, err := gromacs.Figure13(arm, mn4)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cte, _ := appCurves(b, gromacs.Figure13, arm, mn4)
 		t2, _ := cte.TimeAt(2)
 		t4, _ := cte.TimeAt(4)
 		anomaly = float64(t2) / (2 * float64(t4)) // >1 marks the anomaly
@@ -549,10 +553,8 @@ func BenchmarkFig15_OpenIFSScale(b *testing.B) {
 	arm, mn4 := pairMachines()
 	var s32, s128 float64
 	for i := 0; i < b.N; i++ {
-		cte, ref, err := openifs.Figure15(arm, mn4)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cte, ref := appCurves(b, openifs.Figure15, arm, mn4)
+		var err error
 		s32, err = scaling.Slowdown(cte, ref, 32)
 		if err != nil {
 			b.Fatal(err)

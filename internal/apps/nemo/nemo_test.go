@@ -168,10 +168,7 @@ func TestMemoryFloor8Nodes(t *testing.T) {
 
 func TestFig11SlowdownBand(t *testing.T) {
 	// Paper: MN4 performance is between 1.70x and 1.79x higher.
-	cte, ref, err := Figure11(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, ref := sweep(t, Figure11, machine.CTEArm()), sweep(t, Figure11, machine.MareNostrum4())
 	for _, nodes := range []int{8, 12, 16, 24} {
 		s, err := scaling.Slowdown(cte, ref, nodes)
 		if err != nil {
@@ -185,10 +182,7 @@ func TestFig11SlowdownBand(t *testing.T) {
 
 func TestFig11Equivalence48to27(t *testing.T) {
 	// Paper: 48 A64FX nodes match 27 MareNostrum 4 nodes.
-	cte, ref, err := Figure11(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, ref := sweep(t, Figure11, machine.CTEArm()), sweep(t, Figure11, machine.MareNostrum4())
 	t48, ok := cte.TimeAt(48)
 	if !ok {
 		t.Fatal("no 48-node point")
@@ -205,10 +199,7 @@ func TestFig11Equivalence48to27(t *testing.T) {
 
 func TestFig11FlatteningAt128(t *testing.T) {
 	// Paper: CTE-Arm scalability flattens around 128 nodes.
-	cte, _, err := Figure11(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte := sweep(t, Figure11, machine.CTEArm())
 	t64, _ := cte.TimeAt(64)
 	t128, _ := cte.TimeAt(128)
 	t192, _ := cte.TimeAt(192)
@@ -227,10 +218,7 @@ func TestFig11FlatteningAt128(t *testing.T) {
 
 func TestTableIVNemoRow(t *testing.T) {
 	// Table IV NEMO at 16 nodes: 0.56.
-	cte, ref, err := Figure11(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, ref := sweep(t, Figure11, machine.CTEArm()), sweep(t, Figure11, machine.MareNostrum4())
 	tA, _ := cte.TimeAt(16)
 	tM, _ := ref.TimeAt(16)
 	got := float64(tM) / float64(tA)
@@ -247,4 +235,14 @@ func TestModelRejectsUnknownMachine(t *testing.T) {
 	if _, err := NewModel(m, BenchORCA1()); err == nil {
 		t.Error("machine with unknown silicon accepted")
 	}
+}
+
+// sweep runs the per-machine figure fig on m and returns its curve.
+func sweep(t *testing.T, fig func(machine.Machine) ([]scaling.Series, error), m machine.Machine) scaling.Series {
+	t.Helper()
+	s, err := fig(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s[0]
 }

@@ -189,10 +189,7 @@ func TestFig14SingleNodeAnchors(t *testing.T) {
 }
 
 func TestFig15MultiNodeAnchors(t *testing.T) {
-	cte, ref, err := Figure15(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, ref := sweep(t, Figure15, machine.CTEArm()), sweep(t, Figure15, machine.MareNostrum4())
 	// Paper: 3.55x at 32 nodes, 2.56x at 128.
 	s32, err := scaling.Slowdown(cte, ref, 32)
 	if err != nil {
@@ -275,10 +272,7 @@ func TestDayTimeValidation(t *testing.T) {
 }
 
 func TestFigure14SeriesShape(t *testing.T) {
-	cte, ref, err := Figure14(machine.CTEArm(), machine.MareNostrum4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cte, ref := sweep(t, Figure14, machine.CTEArm()), sweep(t, Figure14, machine.MareNostrum4())
 	for _, s := range []scaling.Series{cte, ref} {
 		pts := s.Sorted()
 		if len(pts) != 6 {
@@ -300,4 +294,14 @@ func TestModelRejectsUnknownMachine(t *testing.T) {
 	if _, err := NewModel(m, TL255L91()); err == nil {
 		t.Error("machine with unknown silicon accepted")
 	}
+}
+
+// sweep runs the per-machine figure fig on m and returns its curve.
+func sweep(t *testing.T, fig func(machine.Machine) ([]scaling.Series, error), m machine.Machine) scaling.Series {
+	t.Helper()
+	s, err := fig(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s[0]
 }

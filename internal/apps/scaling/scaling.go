@@ -73,6 +73,19 @@ func DoublingSweep(min, max int) []int {
 	return append(out, max)
 }
 
+// Range returns the node (or rank) range a figure explores on the named
+// machine: the paper's range on its two machines — cte on CTE-Arm, mn4 on
+// MareNostrum 4 — and DoublingSweep(min, max) anywhere else.
+func Range(machineName string, cte, mn4 []int, min, max int) []int {
+	switch machineName {
+	case "CTE-Arm":
+		return cte
+	case "MareNostrum 4":
+		return mn4
+	}
+	return DoublingSweep(min, max)
+}
+
 // Slowdown returns tA/tB at the given node count; both series must contain
 // the point.
 func Slowdown(a, b Series, nodes int) (float64, error) {

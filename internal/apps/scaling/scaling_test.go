@@ -1,6 +1,9 @@
 package scaling
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func series(machine string, pts ...Point) Series {
 	return Series{Machine: machine, Points: pts}
@@ -65,5 +68,21 @@ func TestMatchingNodes(t *testing.T) {
 	}
 	if got := MatchingNodes(s, 1000); got != 12 {
 		t.Errorf("easy target should give the smallest run, got %d", got)
+	}
+}
+
+func TestRange(t *testing.T) {
+	cte, mn4 := []int{12, 44}, []int{12, 64}
+	for _, c := range []struct {
+		name string
+		want []int
+	}{
+		{"CTE-Arm", cte},
+		{"MareNostrum 4", mn4},
+		{"ThunderX2", []int{3, 6, 12, 20}},
+	} {
+		if got := Range(c.name, cte, mn4, 3, 20); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Range(%q) = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

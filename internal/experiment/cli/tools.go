@@ -361,15 +361,19 @@ func render(p figures.Pair, names ...string) error {
 func alyaHighlights(p figures.Pair) error {
 	for _, phase := range []struct {
 		name string
-		fig  func(arm, mn4 machine.Machine) (cte, ref scaling.Series, err error)
+		fig  func(machine.Machine) ([]scaling.Series, error)
 	}{{"time step", alya.Figure8}, {"Assembly", alya.Figure9}, {"Solver", alya.Figure10}} {
-		cte, ref, err := phase.fig(p.Arm, p.Ref)
+		cte, err := phase.fig(p.Arm)
 		if err != nil {
 			return err
 		}
-		target, _ := ref.TimeAt(12)
+		ref, err := phase.fig(p.Ref)
+		if err != nil {
+			return err
+		}
+		target, _ := ref[0].TimeAt(12)
 		fmt.Printf("Alya: %d CTE-Arm nodes match 12 MareNostrum 4 nodes (%s)\n",
-			scaling.MatchingNodes(cte, target), phase.name)
+			scaling.MatchingNodes(cte[0], target), phase.name)
 	}
 	fmt.Println()
 	return nil

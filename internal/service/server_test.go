@@ -113,7 +113,8 @@ func TestEndToEndStreamMatchesFigures(t *testing.T) {
 
 	// The service must agree bit-for-bit with the figure pipeline the CLI
 	// uses (same build config, element count and noise seeds).
-	want, err := figures.Default().StreamSeries("CTE-Arm", toolchain.C)
+	p := figures.Default()
+	want, err := p.StreamSeriesOn(p.Arm, toolchain.C)
 	if err != nil {
 		t.Fatal(err)
 	}
