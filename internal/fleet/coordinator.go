@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -398,15 +399,17 @@ func (c *Coordinator) relaySubmit(w http.ResponseWriter, resp *http.Response, sh
 	}
 	switch resp.StatusCode {
 	case http.StatusOK, http.StatusAccepted:
-		view, localID, derr := rewriteView(payload, shardName)
+		view, derr := decodeView(payload)
 		if derr != nil {
 			c.observeSubmit(began, "error")
 			writeError(w, http.StatusBadGateway, "fleet: undecodable shard response: "+derr.Error())
 			return
 		}
+		id := fleetID(shardName, view.ID)
 		c.mu.Lock()
-		c.routes[fleetID(shardName, localID)] = route{shard: shardName, localID: localID}
+		c.routes[id] = route{shard: shardName, localID: view.ID}
 		c.mu.Unlock()
+		view.ID, view.Shard = id, shardName
 		if resp.StatusCode == http.StatusOK {
 			c.observeSubmit(began, "cached")
 		} else {
@@ -453,29 +456,23 @@ func splitFleetID(id string) (shard, localID string, ok bool) {
 	return shard, localID, true
 }
 
-// rewriteView decodes a shard JobView payload, rewrites its id onto the
-// fleet namespace and returns the decoded view plus the original local
-// id. Decoding into a generic map keeps the coordinator agnostic to
-// JobView's exact field set.
-func rewriteView(payload []byte, shardName string) (map[string]any, string, error) {
-	var view map[string]any
+// decodeView decodes a shard's job view; its ID is still shard-local.
+func decodeView(payload []byte) (service.JobView, error) {
+	var view service.JobView
 	if err := json.Unmarshal(payload, &view); err != nil {
-		return nil, "", fmt.Errorf("fleet: shard job view: %w", err)
+		return view, fmt.Errorf("fleet: shard job view: %w", err)
 	}
-	localID, _ := view["id"].(string)
-	if localID == "" {
-		return nil, "", errors.New("fleet: shard job view carries no id")
+	if view.ID == "" {
+		return view, errors.New("fleet: shard job view carries no id")
 	}
-	view["id"] = fleetID(shardName, localID)
-	view["shard"] = shardName
-	return view, localID, nil
+	return view, nil
 }
 
 // forward issues one proxied request to a shard.
 func (c *Coordinator) forward(ctx context.Context, st *shardState, method, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
-		rd = strings.NewReader(string(body))
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, st.url()+path, rd)
 	if err != nil {
@@ -554,9 +551,9 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if resp.StatusCode == http.StatusOK {
-		if view, _, derr := rewriteView(payload, rt.shard); derr == nil {
+		if view, derr := decodeView(payload); derr == nil {
 			// Handed-off jobs keep their original public ID.
-			view["id"] = id
+			view.ID, view.Shard = id, rt.shard
 			writeJSON(w, http.StatusOK, view)
 			return
 		}
@@ -568,7 +565,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 // the fleet namespace, ordered by shard then the shard's own submission
 // order.
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	var merged []map[string]any
+	var merged []service.JobView
 	downShards := []string{}
 	for _, st := range c.allShards() {
 		st.mu.Lock()
@@ -586,7 +583,7 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var body struct {
-			Jobs []map[string]any `json:"jobs"`
+			Jobs []service.JobView `json:"jobs"`
 		}
 		err = json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&body)
 		resp.Body.Close()
@@ -595,10 +592,7 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		for _, v := range body.Jobs {
-			if localID, _ := v["id"].(string); localID != "" {
-				v["id"] = fleetID(name, localID)
-				v["shard"] = name
-			}
+			v.ID, v.Shard = fleetID(name, v.ID), name
 			merged = append(merged, v)
 		}
 	}
@@ -790,13 +784,13 @@ func (c *Coordinator) reenqueue(ctx context.Context, deadShard string, u Unfinis
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
 			return fmt.Errorf("fleet: shard %s refused re-enqueued job %s: HTTP %d", owner, u.ID, resp.StatusCode)
 		}
-		_, localID, derr := rewriteView(payload, owner)
+		view, derr := decodeView(payload)
 		if derr != nil {
 			return derr
 		}
 		c.mu.Lock()
-		c.routes[fleetID(deadShard, u.ID)] = route{shard: owner, localID: localID}
-		c.routes[fleetID(owner, localID)] = route{shard: owner, localID: localID}
+		c.routes[fleetID(deadShard, u.ID)] = route{shard: owner, localID: view.ID}
+		c.routes[fleetID(owner, view.ID)] = route{shard: owner, localID: view.ID}
 		c.mu.Unlock()
 		c.rerouted.Inc()
 		return nil

@@ -1,16 +1,19 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"clustereval/internal/experiment"
 	"clustereval/internal/service"
 )
 
@@ -57,42 +60,34 @@ func (tf *testFleet) front(t *testing.T) *httptest.Server {
 	return srv
 }
 
-type fleetJobView struct {
-	ID    string          `json:"id"`
-	State string          `json:"state"`
-	Shard string          `json:"shard"`
-	Error string          `json:"error"`
-	Spec  json.RawMessage `json:"spec"`
-}
-
-func postJob(t *testing.T, base, spec string) (fleetJobView, *http.Response) {
+func postJob(t *testing.T, base, spec string) (service.JobView, *http.Response) {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatalf("POST /v1/jobs: %v", err)
 	}
 	defer resp.Body.Close()
-	var v fleetJobView
+	var v service.JobView
 	body, _ := io.ReadAll(resp.Body)
 	_ = json.Unmarshal(body, &v)
 	return v, resp
 }
 
-func getJob(t *testing.T, base, id string) (fleetJobView, int) {
+func getJob(t *testing.T, base, id string) (service.JobView, int) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatalf("GET /v1/jobs/%s: %v", id, err)
 	}
 	defer resp.Body.Close()
-	var v fleetJobView
+	var v service.JobView
 	_ = json.NewDecoder(resp.Body).Decode(&v)
 	return v, resp.StatusCode
 }
 
 // waitDone polls (bounded iterations, not wall-clock deadlines) until the
 // job is terminal.
-func waitDone(t *testing.T, base, id string) fleetJobView {
+func waitDone(t *testing.T, base, id string) service.JobView {
 	t.Helper()
 	for i := 0; i < 500; i++ {
 		v, code := getJob(t, base, id)
@@ -105,7 +100,7 @@ func waitDone(t *testing.T, base, id string) fleetJobView {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached a terminal state", id)
-	return fleetJobView{}
+	return service.JobView{}
 }
 
 func netSpec(i int) string {
@@ -189,25 +184,99 @@ func TestCoordinatorMergedListing(t *testing.T) {
 		want[v.ID] = true
 		waitDone(t, front.URL, v.ID)
 	}
-	resp, err := http.Get(front.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Jobs []fleetJobView `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
+	jobs := listJobs(t, front.URL)
 	got := map[string]bool{}
-	for _, j := range body.Jobs {
+	for _, j := range jobs {
 		got[j.ID] = true
 	}
 	for id := range want {
 		if !got[id] {
-			t.Fatalf("merged listing is missing job %s (got %d jobs)", id, len(body.Jobs))
+			t.Fatalf("merged listing is missing job %s (got %d jobs)", id, len(jobs))
 		}
+	}
+}
+
+func listJobs(t *testing.T, base string) []service.JobView {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs")
+	if err != nil {
+		t.Fatalf("GET /v1/jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Jobs []service.JobView `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	return body.Jobs
+}
+
+// The coordinator relays a shard's job view unchanged apart from id and
+// shard. A seed above 2^53 is the sharpest probe: a relay that round-trips
+// the view through float64 rounds it, and the served spec then names a
+// seed that did not produce the served result.
+func TestCoordinatorRelaysJobViewsExactly(t *testing.T) {
+	tf := newTestFleet(t, 2)
+	front := tf.front(t)
+	const seed = 1152921504606846977 // 2^60 + 1
+	specJSON := fmt.Sprintf(`{"kind":"net","size_bytes":4096,"iters":5,"dst_node":3,"seed":%d}`, uint64(seed))
+
+	posted, resp := postJob(t, front.URL, specJSON)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submission: HTTP %d, want 202", resp.StatusCode)
+	}
+	got := waitDone(t, front.URL, posted.ID)
+	if got.State != service.StateDone {
+		t.Fatalf("job %s ended %q (%s)", got.ID, got.State, got.Error)
+	}
+	var listed service.JobView
+	for _, v := range listJobs(t, front.URL) {
+		if v.ID == posted.ID {
+			listed = v
+		}
+	}
+	for _, c := range []struct {
+		via  string
+		seed uint64
+	}{{"POST /v1/jobs", posted.Spec.Seed}, {"GET /v1/jobs/{id}", got.Spec.Seed}, {"GET /v1/jobs", listed.Spec.Seed}} {
+		if c.seed != seed {
+			t.Errorf("%s serves seed %d, want %d", c.via, c.seed, uint64(seed))
+		}
+	}
+	if !reflect.DeepEqual(listed, got) {
+		t.Errorf("listing and GET disagree on job %s:\n list %+v\n get  %+v", got.ID, listed, got)
+	}
+
+	shard, localID, _ := splitFleetID(got.ID)
+	own, code := getJob(t, tf.servers[shard].URL, localID)
+	if code != http.StatusOK {
+		t.Fatalf("shard %s GET %s: HTTP %d", shard, localID, code)
+	}
+	if own.Shard != "" {
+		t.Errorf("shard %s's own view names shard %q, want none", shard, own.Shard)
+	}
+	own.ID, own.Shard = got.ID, shard
+	if !reflect.DeepEqual(got, own) {
+		t.Errorf("coordinator view differs from shard %s's own:\n fleet %+v\n shard %+v", shard, got, own)
+	}
+
+	var spec service.JobSpec
+	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
+		t.Fatal(err)
+	}
+	norm, _, err := experiment.Canonicalize(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := experiment.Run(context.Background(), norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(res)
+	served, _ := json.Marshal(got.Result)
+	if !bytes.Equal(served, want) {
+		t.Errorf("served result differs from experiment.Run on the spec:\n served %s\n want   %s", served, want)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"clustereval/internal/service"
 )
 
 // This file merges the shards' observability surfaces into fleet-wide
@@ -231,14 +233,14 @@ func formatFloat(v float64) string {
 // the status code stays 200 either way.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	type shardHealth struct {
-		Live   bool           `json:"live"`
-		Dead   bool           `json:"dead,omitempty"`
-		Report map[string]any `json:"report,omitempty"`
-		Error  string         `json:"error,omitempty"`
+		Live   bool            `json:"live"`
+		Dead   bool            `json:"dead,omitempty"`
+		Report *service.Health `json:"report,omitempty"`
+		Error  string          `json:"error,omitempty"`
 	}
 	shards := map[string]shardHealth{}
 	status := "ok"
-	workers, queueDepth, queueCap := 0.0, 0.0, 0.0
+	workers, queueDepth, queueCap := 0, 0, 0
 	maxSaturation := 0.0
 	liveCount := 0
 	for _, st := range c.allShards() {
@@ -260,7 +262,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			shards[name] = sh
 			continue
 		}
-		var report map[string]any
+		var report service.Health
 		err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&report)
 		resp.Body.Close()
 		if err != nil {
@@ -269,24 +271,16 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			shards[name] = sh
 			continue
 		}
-		sh.Report = report
+		sh.Report = &report
 		shards[name] = sh
 		liveCount++
-		if s, _ := report["status"].(string); s != "ok" {
+		if report.Status != "ok" {
 			status = "degraded"
 		}
-		if v, ok := report["workers"].(float64); ok {
-			workers += v
-		}
-		if v, ok := report["queue_depth"].(float64); ok {
-			queueDepth += v
-		}
-		if v, ok := report["queue_capacity"].(float64); ok {
-			queueCap += v
-		}
-		if v, ok := report["queue_saturation"].(float64); ok && v > maxSaturation {
-			maxSaturation = v
-		}
+		workers += report.Workers
+		queueDepth += report.QueueDepth
+		queueCap += report.QueueCapacity
+		maxSaturation = max(maxSaturation, report.QueueSaturation)
 	}
 	if liveCount == 0 {
 		status = "down"

@@ -1,12 +1,17 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"clustereval/internal/service"
 )
 
 const stubExpoS0 = `# HELP clusterd_jobs_total Total jobs accepted.
@@ -193,19 +198,56 @@ func TestFleetMetricsMergeSkipsDownShard(t *testing.T) {
 
 func fleetHealthz(t *testing.T, base string) map[string]any {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/healthz")
+	var report map[string]any
+	getJSON(t, base+"/v1/healthz", &report)
+	return report
+}
+
+// assertNestedReports checks that every shard report nested in the
+// coordinator's /v1/healthz decodes equal to the shard's own /v1/healthz,
+// and returns the nested reports by shard. Only uptime may differ: the
+// shard is asked after the coordinator, so its uptime must not be lower.
+func assertNestedReports(t *testing.T, base string, servers map[string]*httptest.Server) map[string]service.Health {
+	t.Helper()
+	var merged struct {
+		Shards map[string]struct {
+			Report *service.Health `json:"report"`
+		} `json:"shards"`
+	}
+	getJSON(t, base+"/v1/healthz", &merged)
+	out := map[string]service.Health{}
+	for name, srv := range servers {
+		nested := merged.Shards[name].Report
+		if nested == nil {
+			t.Fatalf("coordinator healthz nests no report for shard %s", name)
+		}
+		var own service.Health
+		getJSON(t, srv.URL+"/v1/healthz", &own)
+		if own.UptimeSeconds < nested.UptimeSeconds {
+			t.Fatalf("shard %s uptime went backwards: nested %v, own %v", name, nested.UptimeSeconds, own.UptimeSeconds)
+		}
+		own.UptimeSeconds = nested.UptimeSeconds
+		if !reflect.DeepEqual(*nested, own) {
+			t.Fatalf("shard %s report nested by the coordinator differs from its own:\n nested %+v\n own    %+v", name, *nested, own)
+		}
+		out[name] = *nested
+	}
+	return out
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
-		t.Fatalf("GET /v1/healthz: %v", err)
+		t.Fatalf("GET %s: %v", url, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz HTTP %d", resp.StatusCode)
+		t.Fatalf("GET %s: HTTP %d", url, resp.StatusCode)
 	}
-	var report map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&report); err != nil {
-		t.Fatal(err)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
 	}
-	return report
 }
 
 func TestFleetHealthzMerge(t *testing.T) {
@@ -235,6 +277,37 @@ func TestFleetHealthzMerge(t *testing.T) {
 	// included.
 	if rep := s0["report"].(map[string]any); rep["shard"] != "s0" {
 		t.Fatalf("s0 report = %v, want shard identity s0", rep)
+	}
+	assertNestedReports(t, front.URL, tf.servers)
+
+	// With replication on, the nested reports carry each shard's
+	// replication block just as the shard serves it.
+	rf := newReplFleet(t, 2, 2, 2)
+	rf.coord.SyncReplication(context.Background())
+	replFront := httptest.NewServer(rf.coord)
+	defer replFront.Close()
+	v, resp := postJob(t, replFront.URL, netSpec(0))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("replicated submit: HTTP %d", resp.StatusCode)
+	}
+	waitDone(t, replFront.URL, v.ID)
+	// The done record is journaled and shipped just after the job turns
+	// done; wait for it (submitted, started, done) so the reports hold
+	// still between the two reads.
+	for i := 0; ; i++ {
+		st := rf.svcs[v.Shard].ReplicationStatus()
+		if st.LastSeq == 3 && st.Peers[0].AckedSeq == 3 {
+			break
+		}
+		if i == 500 {
+			t.Fatalf("shard %s replication never settled: %+v", v.Shard, st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for name, rep := range assertNestedReports(t, replFront.URL, rf.servers) {
+		if repl := rep.Replication; repl == nil || repl.Quorum != 2 || len(repl.Peers) != 1 {
+			t.Fatalf("shard %s nested replication block = %+v, want quorum 2 with one peer", name, repl)
+		}
 	}
 
 	// One shard down: the fleet degrades but keeps serving 200.

@@ -92,7 +92,7 @@ func (c *Coordinator) pushPeers(ctx context.Context, name string) error {
 		}
 		peers = append(peers, service.Peer{Shard: f, URL: url})
 	}
-	body, err := json.Marshal(map[string]any{"quorum": c.cfg.AckQuorum, "peers": peers})
+	body, err := json.Marshal(service.PeerSet{Quorum: c.cfg.AckQuorum, Peers: peers})
 	if err != nil {
 		return fmt.Errorf("fleet: encoding peer set for %s: %w", name, err)
 	}

@@ -193,6 +193,25 @@ const (
 	healthMinSamples       = 8
 )
 
+// Health is the body of GET /v1/healthz. The fleet coordinator decodes
+// it to sum the fleet's capacity and nests it per shard. Keep the fields
+// in sorted key order: clients have always seen the report's keys
+// sorted.
+type Health struct {
+	Breaker           string             `json:"breaker"`
+	Durable           bool               `json:"durable"`
+	QueueCapacity     int                `json:"queue_capacity"`
+	QueueDepth        int                `json:"queue_depth"`
+	QueueSaturation   float64            `json:"queue_saturation"`
+	RecentFailureRate float64            `json:"recent_failure_rate"`
+	RecentSamples     int                `json:"recent_samples"`
+	Replication       *ReplicationStatus `json:"replication,omitempty"`
+	Shard             string             `json:"shard,omitempty"`
+	Status            string             `json:"status"`
+	UptimeSeconds     float64            `json:"uptime_seconds"`
+	Workers           int                `json:"workers"`
+}
+
 // handleHealthz reports liveness plus the degradation signals: queue
 // saturation and the recent failure rate. The status code stays 200 even
 // when degraded — the daemon is alive and still making progress; "status"
@@ -205,23 +224,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if sat >= healthSaturationLimit || (samples >= healthMinSamples && rate >= healthFailureRateLimit) {
 		status = "degraded"
 	}
-	report := map[string]any{
-		"status":              status,
-		"uptime_seconds":      s.svc.cfg.clock().Sub(s.start).Seconds(),
-		"workers":             s.svc.Workers(),
-		"queue_depth":         s.svc.QueueDepth(),
-		"queue_capacity":      s.svc.QueueCapacity(),
-		"queue_saturation":    sat,
-		"recent_failure_rate": rate,
-		"recent_samples":      samples,
-		"breaker":             s.svc.BreakerState(),
-		"durable":             s.svc.Durable(),
-	}
-	if shard := s.svc.ShardName(); shard != "" {
-		report["shard"] = shard
+	report := Health{
+		Status:            status,
+		UptimeSeconds:     s.svc.cfg.clock().Sub(s.start).Seconds(),
+		Workers:           s.svc.Workers(),
+		QueueDepth:        s.svc.QueueDepth(),
+		QueueCapacity:     s.svc.QueueCapacity(),
+		QueueSaturation:   sat,
+		RecentFailureRate: rate,
+		RecentSamples:     samples,
+		Breaker:           s.svc.BreakerState(),
+		Durable:           s.svc.Durable(),
+		Shard:             s.svc.ShardName(),
 	}
 	if repl := s.svc.ReplicationStatus(); repl.Enabled {
-		report["replication"] = repl
+		report.Replication = &repl
 	}
 	writeJSON(w, http.StatusOK, report)
 }
@@ -248,9 +265,9 @@ func (s *Server) handleReplicaIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// peersRequest is the body of PUT /v1/replication/peers: the write
-// quorum and follower set the fleet layer wants this shard to ship to.
-type peersRequest struct {
+// PeerSet is the body of PUT /v1/replication/peers: the write quorum
+// and follower set the fleet layer wants this shard to ship to.
+type PeerSet struct {
 	Quorum int    `json:"quorum"`
 	Peers  []Peer `json:"peers"`
 }
@@ -259,7 +276,7 @@ type peersRequest struct {
 // replication at the current follower addresses — children restart on
 // ephemeral ports, so the peer set changes across a shard's lifetime.
 func (s *Server) handleReplicaPeers(w http.ResponseWriter, r *http.Request) {
-	var req peersRequest
+	var req PeerSet
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"clustereval/internal/experiment"
 	"clustereval/internal/faultsim"
 	"clustereval/internal/journal"
 	"clustereval/internal/xrand"
@@ -179,7 +180,7 @@ func (c Config) withDefaults() Config {
 				return fn(ctx, spec)
 			}
 		} else {
-			c.runnerAttempt = RunAttempt
+			c.runnerAttempt = experiment.RunAttempt
 		}
 	}
 	return c
@@ -215,9 +216,13 @@ type Job struct {
 	cancelWant bool               // cancel requested before the job started
 }
 
-// JobView is an immutable snapshot of a job, shaped for JSON.
+// JobView is an immutable snapshot of a job, shaped for JSON. It is the
+// fleet coordinator's job shape too: the coordinator relays a shard's
+// view with ID moved onto the fleet namespace and Shard set to the
+// shard's name. A shard's own views leave Shard empty.
 type JobView struct {
 	ID              string    `json:"id"`
+	Shard           string    `json:"shard,omitempty"`
 	State           JobState  `json:"state"`
 	Spec            JobSpec   `json:"spec"`
 	SpecHash        string    `json:"spec_hash"`

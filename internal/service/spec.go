@@ -12,20 +12,13 @@ import "clustereval/internal/experiment"
 // experiment.Spec for the field semantics and the cache-key contract.
 type JobSpec = experiment.Spec
 
+// Result is the JSON payload of a completed job; the typed sub-results
+// are defined alongside each kind in internal/experiment.
+type Result = experiment.Result
+
 // ValidationError marks a spec the registry refuses to run; the HTTP
 // layer turns it into a 400.
 type ValidationError = experiment.ValidationError
-
-// Job kinds the service accepts, re-exported from the registry.
-const (
-	KindStream       = experiment.KindStream
-	KindHybridStream = experiment.KindHybridStream
-	KindFPU          = experiment.KindFPU
-	KindNet          = experiment.KindNet
-	KindHPL          = experiment.KindHPL
-	KindHPCG         = experiment.KindHPCG
-	KindApp          = experiment.KindApp
-)
 
 // Kinds returns every job kind the service accepts, in the registry's
 // stable order.
