@@ -13,7 +13,7 @@ func FuzzJournalDecode(f *testing.F) {
 	seed := func(recs ...Record) []byte {
 		var buf []byte
 		for _, r := range recs {
-			line, err := encode(r)
+			line, err := encodeLine(r)
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func FuzzJournalDecode(f *testing.F) {
 		// Re-encoding the records must reproduce the accepted bytes.
 		var rebuilt []byte
 		for _, r := range recs {
-			line, err := encode(r)
+			line, err := encodeLine(r)
 			if err != nil {
 				t.Fatalf("accepted record does not re-encode: %v", err)
 			}

@@ -115,33 +115,53 @@ func unframeLine(line []byte) ([]byte, error) {
 	return body, nil
 }
 
-// encode frames one record: 8 hex digits of CRC-32C over the JSON body,
-// a space, the body, a newline.
-func encode(r Record) ([]byte, error) {
-	if err := r.validate(); err != nil {
+// entry is what one framed line carries: a journal Record or a
+// replication Frame. Both share one scanner, so the torn-tail-versus-
+// ErrCorrupt rule below is written once.
+type entry interface {
+	Record | Frame
+	validate() error
+}
+
+// encodeLine validates and frames one entry.
+func encodeLine[T entry](v T) ([]byte, error) {
+	if err := v.validate(); err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(r)
+	body, err := json.Marshal(v)
 	if err != nil {
-		return nil, fmt.Errorf("journal: encoding record: %w", err)
+		return nil, fmt.Errorf("journal: encoding %T: %w", v, err)
 	}
 	return frameLine(body), nil
 }
 
+// encodeLines frames entries in order.
+func encodeLines[T entry](items []T) ([]byte, error) {
+	var buf []byte
+	for _, v := range items {
+		line, err := encodeLine(v)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, line...)
+	}
+	return buf, nil
+}
+
 // decodeLine parses one framed line (without its newline).
-func decodeLine(line []byte) (Record, error) {
+func decodeLine[T entry](line []byte) (T, error) {
+	var v T
 	body, err := unframeLine(line)
 	if err != nil {
-		return Record{}, err
+		return v, err
 	}
-	var r Record
-	if err := json.Unmarshal(body, &r); err != nil {
-		return Record{}, fmt.Errorf("journal: undecodable record body: %w", err)
+	if err := json.Unmarshal(body, &v); err != nil {
+		return v, fmt.Errorf("journal: undecodable %T: %w", v, err)
 	}
-	if err := r.validate(); err != nil {
-		return Record{}, err
+	if err := v.validate(); err != nil {
+		return v, err
 	}
-	return r, nil
+	return v, nil
 }
 
 // Decode parses a journal image and returns the records of its longest
@@ -152,40 +172,79 @@ func decodeLine(line []byte) (Record, error) {
 // and yields ErrCorrupt: the prefix before the damage is still returned,
 // but the journal must not be silently reused.
 func Decode(data []byte) (recs []Record, goodLen int, torn bool, err error) {
+	return decodeAll[Record](data)
+}
+
+// decodeAll is Decode over either kind of entry.
+func decodeAll[T entry](data []byte) (items []T, goodLen int, torn bool, err error) {
 	off := 0
 	for off < len(data) {
 		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
 			// Unterminated tail: the newline is written (and fsynced) with
-			// its record, so an unterminated record was never acknowledged.
-			return recs, off, true, nil
+			// its entry, so an unterminated entry was never acknowledged.
+			return items, off, true, nil
 		}
-		rec, derr := decodeLine(data[off : off+nl])
+		v, derr := decodeLine[T](data[off : off+nl])
 		if derr != nil {
-			if intactRecordAfter(data[off+nl+1:]) {
-				return recs, off, false, fmt.Errorf("%w at byte %d: %w", ErrCorrupt, off, derr)
+			if intactAfter[T](data[off+nl+1:]) {
+				return items, off, false, fmt.Errorf("%w at byte %d: %w", ErrCorrupt, off, derr)
 			}
-			return recs, off, true, nil
+			return items, off, true, nil
 		}
-		recs = append(recs, rec)
+		items = append(items, v)
 		off += nl + 1
 	}
-	return recs, off, false, nil
+	return items, off, false, nil
 }
 
-// intactRecordAfter reports whether any complete, valid record follows.
-func intactRecordAfter(data []byte) bool {
+// intactAfter reports whether any complete, valid entry follows.
+func intactAfter[T entry](data []byte) bool {
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
 			return false
 		}
-		if _, err := decodeLine(data[:nl]); err == nil {
+		if _, err := decodeLine[T](data[:nl]); err == nil {
 			return true
 		}
 		data = data[nl+1:]
 	}
 	return false
+}
+
+// openFramed opens (creating if absent) the framed file at path for
+// appending after its longest valid prefix, which it returns decoded. A
+// torn tail is truncated away. Mid-file damage is refused with
+// ErrCorrupt, and so is a prefix that check (when non-nil) rejects; a
+// refused file is left untouched. name labels the file in errors.
+func openFramed[T entry](path, name string, check func([]T) error) (*os.File, []T, error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, nil, fmt.Errorf("journal: reading %s: %w", name, err)
+	}
+	items, good, _, err := decodeAll[T](data)
+	if err == nil && check != nil {
+		err = check(items)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: %s: %w", name, err)
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: opening %s: %w", name, err)
+	}
+	if good < len(data) {
+		if err := f.Truncate(int64(good)); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("journal: truncating torn tail of %s: %w", name, err)
+		}
+	}
+	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("journal: seeking %s: %w", name, err)
+	}
+	return f, items, nil
 }
 
 // fsync is the journal's one hook into the platter. A package variable
@@ -218,27 +277,9 @@ type Journal struct {
 // refused with ErrCorrupt. The returned journal is positioned for
 // appending.
 func Open(path string) (*Journal, []Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("journal: reading %s: %w", path, err)
-	}
-	recs, good, torn, err := Decode(data)
+	f, recs, err := openFramed[Record](path, path, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("journal: %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: opening %s: %w", path, err)
-	}
-	if torn || good < len(data) {
-		if err := f.Truncate(int64(good)); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: truncating torn tail of %s: %w", path, err)
-		}
-	}
-	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal: seeking %s: %w", path, err)
+		return nil, nil, err
 	}
 	return &Journal{f: f, path: path}, recs, nil
 }
@@ -266,13 +307,9 @@ func (j *Journal) Err() error {
 // have hit the platter can never be followed by an acknowledged one.
 // Partial writes surface as a torn tail on the next Open.
 func (j *Journal) Append(recs ...Record) error {
-	var buf []byte
-	for _, r := range recs {
-		line, err := encode(r)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, line...)
+	buf, err := encodeLines(recs)
+	if err != nil {
+		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()

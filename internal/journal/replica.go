@@ -22,8 +22,6 @@
 package journal
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -54,45 +52,10 @@ func (f Frame) validate() error {
 
 // EncodeFrame frames one replication element with the journal's CRC
 // framing.
-func EncodeFrame(f Frame) ([]byte, error) {
-	if err := f.validate(); err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(f)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encoding replication frame: %w", err)
-	}
-	return frameLine(body), nil
-}
+func EncodeFrame(f Frame) ([]byte, error) { return encodeLine(f) }
 
 // EncodeFrames frames a batch, in order.
-func EncodeFrames(frames []Frame) ([]byte, error) {
-	var buf []byte
-	for _, f := range frames {
-		line, err := EncodeFrame(f)
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, line...)
-	}
-	return buf, nil
-}
-
-// decodeFrameLine parses one framed line (without its newline).
-func decodeFrameLine(line []byte) (Frame, error) {
-	body, err := unframeLine(line)
-	if err != nil {
-		return Frame{}, err
-	}
-	var f Frame
-	if err := json.Unmarshal(body, &f); err != nil {
-		return Frame{}, fmt.Errorf("journal: undecodable replication frame: %w", err)
-	}
-	if err := f.validate(); err != nil {
-		return Frame{}, err
-	}
-	return f, nil
-}
+func EncodeFrames(frames []Frame) ([]byte, error) { return encodeLines(frames) }
 
 // DecodeFrames parses a replication stream image with the same damage
 // tolerance as Decode: the frames of the longest valid prefix are
@@ -100,38 +63,7 @@ func decodeFrameLine(line []byte) (Frame, error) {
 // tail is reported via torn=true (the crash signature — truncate and
 // keep going) while damage before intact frames yields ErrCorrupt.
 func DecodeFrames(data []byte) (frames []Frame, goodLen int, torn bool, err error) {
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			return frames, off, true, nil
-		}
-		f, derr := decodeFrameLine(data[off : off+nl])
-		if derr != nil {
-			if intactFrameAfter(data[off+nl+1:]) {
-				return frames, off, false, fmt.Errorf("%w at byte %d: %w", ErrCorrupt, off, derr)
-			}
-			return frames, off, true, nil
-		}
-		frames = append(frames, f)
-		off += nl + 1
-	}
-	return frames, off, false, nil
-}
-
-// intactFrameAfter reports whether any complete, valid frame follows.
-func intactFrameAfter(data []byte) bool {
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			return false
-		}
-		if _, err := decodeFrameLine(data[:nl]); err == nil {
-			return true
-		}
-		data = data[nl+1:]
-	}
-	return false
+	return decodeAll[Frame](data)
 }
 
 // ErrGap reports an ingest batch whose first new frame does not extend
@@ -206,37 +138,21 @@ func (s *ReplicaStore) open(src string) (*replicaFile, error) {
 		return rf, nil
 	}
 	path := ReplicaPath(s.dir, src)
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("journal: reading replica %s: %w", path, err)
-	}
-	frames, good, torn, err := DecodeFrames(data)
-	if err != nil {
-		return nil, fmt.Errorf("journal: replica %s: %w", path, err)
-	}
 	seq := uint64(0)
-	for _, f := range frames {
-		if f.Src != src {
-			return nil, fmt.Errorf("%w: replica %s holds a frame from %q", ErrCorrupt, path, f.Src)
+	f, _, err := openFramed(path, "replica "+path, func(frames []Frame) error {
+		for _, fr := range frames {
+			if fr.Src != src {
+				return fmt.Errorf("%w: holds a frame from %q", ErrCorrupt, fr.Src)
+			}
+			if fr.Seq != seq+1 {
+				return fmt.Errorf("%w: jumps from seq %d to %d", ErrCorrupt, seq, fr.Seq)
+			}
+			seq = fr.Seq
 		}
-		if f.Seq != seq+1 {
-			return nil, fmt.Errorf("%w: replica %s jumps from seq %d to %d", ErrCorrupt, path, seq, f.Seq)
-		}
-		seq = f.Seq
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("journal: opening replica %s: %w", path, err)
-	}
-	if torn || good < len(data) {
-		if err := f.Truncate(int64(good)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("journal: truncating torn tail of replica %s: %w", path, err)
-		}
-	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: seeking replica %s: %w", path, err)
+		return nil, err
 	}
 	rf := &replicaFile{f: f, path: path, seq: seq}
 	s.files[src] = rf
@@ -391,13 +307,9 @@ func ReadReplica(path string) (recs []Record, lastSeq uint64, err error) {
 // into place, so a crash mid-promotion leaves either no journal or a
 // complete one — never a half-written history presented as whole.
 func WriteJournal(path string, recs []Record) error {
-	var buf []byte
-	for _, r := range recs {
-		line, err := encode(r)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, line...)
+	buf, err := encodeLines(recs)
+	if err != nil {
+		return err
 	}
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
