@@ -119,12 +119,16 @@ difftest:
 	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/topology/
 	$(GO) test -tags desrefqueue ./internal/des/...
 
-# Coverage-guided fuzz smoke over the machine-preset validator. The
-# committed corpus (internal/machine/testdata/fuzz) replays as regression
-# seeds in every plain `go test` run; this target additionally mutates for
-# a short budget so CI keeps probing new layer compositions.
+# Coverage-guided fuzz smoke over the machine-preset validator and the
+# journal's framed-line scanner (journal and replica images). The
+# committed corpora (internal/{machine,journal}/testdata/fuzz) replay as
+# regression seeds in every plain `go test` run; this target additionally
+# mutates for a short budget so CI keeps probing new layer compositions
+# and new torn or corrupt images. Go fuzzes one target per invocation.
 fuzz:
-	$(GO) test -run '^$$' -fuzz 'FuzzPresetValidate' -fuzztime 20s ./internal/machine
+	$(GO) test -run '^$$' -fuzz '^FuzzPresetValidate$$' -fuzztime 20s ./internal/machine
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime 10s ./internal/journal
+	$(GO) test -run '^$$' -fuzz '^FuzzReplicaDecode$$' -fuzztime 10s ./internal/journal
 
 # CPU + heap profile of a full Fig. 11 regeneration (NEMO through the
 # DES-backed MPI runtime): the standard starting point for engine
