@@ -112,9 +112,10 @@ benchdiff-engine:
 # must schedule bit-identically to the reference heap. Runs the
 # engine-level trace comparison, the calq fuzz seeds + oracle tests, the
 # experiment-level result comparison for every registered kind, the
-# placement and hop-distance oracles (counting-selection placement vs the
-# retained sort-based one, arithmetic Hops vs Coords), and the whole des
-# test suite pinned to the reference queue via the build tag.
+# placement and hop-distance oracles (counting-selection placement and
+# Place on the preset fabrics vs the retained sort-based one, arithmetic
+# Hops vs Coords, closed-form HopCounts vs counted Hops), and the whole
+# des test suite pinned to the reference queue via the build tag.
 difftest:
 	$(GO) test -run 'Differential|Oracle|Fuzz|CondSignal|WorkerReuse' -v ./internal/des/... ./internal/experiment/ ./internal/sched/ ./internal/topology/
 	$(GO) test -tags desrefqueue ./internal/des/...

@@ -754,9 +754,9 @@ func BenchmarkTopology_Hops(b *testing.B) {
 }
 
 // BenchmarkSched_Allocate places one job of each node count a sweep
-// requests, each on a fresh topology-aware scheduler as the app models do:
-// the Table IV counts on CTE-Arm and the doubling sweep on the Fugaku
-// partition. One op is the whole sweep.
+// requests, each on an empty machine through sched.Place as the app
+// models do: the Table IV counts on CTE-Arm and the doubling sweep on the
+// Fugaku partition. One op is the whole sweep.
 func BenchmarkSched_Allocate(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -775,7 +775,7 @@ func BenchmarkSched_Allocate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, n := range c.counts {
-					if _, err := sched.New(topo, sched.TopologyAware, 1).Allocate(n); err != nil {
+					if _, err := sched.Place(topo, n); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -154,7 +154,7 @@ func (mod *Model) StepTimes(nodes int) (asm, sol, total units.Seconds, err error
 
 	// Communication: two dot-product allreduces per iteration plus the
 	// unstructured halo, on a topology-aware allocation.
-	alloc, err := sched.New(mod.fabric.Topo, sched.TopologyAware, 1).Allocate(nodes)
+	alloc, err := sched.Place(mod.fabric.Topo, nodes)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -163,7 +163,7 @@ func (mod *Model) StepTime(l Layout) (units.Seconds, error) {
 	// Communication (multi-node only): DD halo pulses plus the amortized
 	// global energy reduction.
 	if l.Nodes > 1 {
-		alloc, err := sched.New(mod.fabric.Topo, sched.TopologyAware, 1).Allocate(l.Nodes)
+		alloc, err := sched.Place(mod.fabric.Topo, l.Nodes)
 		if err != nil {
 			return 0, err
 		}

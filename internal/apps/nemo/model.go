@@ -137,7 +137,7 @@ func (mod *Model) ExecutionTime(nodes int) (units.Seconds, error) {
 
 	// Communication: the 4-neighbour halo plus a few global reductions
 	// per step (time filters, solver norms).
-	alloc, err := sched.New(mod.fabric.Topo, sched.TopologyAware, 1).Allocate(nodes)
+	alloc, err := sched.Place(mod.fabric.Topo, nodes)
 	if err != nil {
 		return 0, err
 	}

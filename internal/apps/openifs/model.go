@@ -164,7 +164,7 @@ func (mod *Model) DayTime(nodes, ranks int) (units.Seconds, error) {
 	t += units.TimeFor(units.Bytes(pts*cfg.Bytes/float64(nodes)), bw)
 
 	if nodes > 1 {
-		alloc, err := sched.New(mod.fabric.Topo, sched.TopologyAware, 1).Allocate(nodes)
+		alloc, err := sched.Place(mod.fabric.Topo, nodes)
 		if err != nil {
 			return 0, err
 		}

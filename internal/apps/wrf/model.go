@@ -103,7 +103,7 @@ func (mod *Model) ElapsedTime(nodes int, ioEnabled bool) (units.Seconds, error) 
 	perStep := mod.exec.Time(irr, cores) + mod.exec.Time(mem, cores)
 
 	if nodes > 1 {
-		alloc, err := sched.New(mod.fabric.Topo, sched.TopologyAware, 1).Allocate(nodes)
+		alloc, err := sched.Place(mod.fabric.Topo, nodes)
 		if err != nil {
 			return 0, err
 		}

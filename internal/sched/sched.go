@@ -88,6 +88,13 @@ func (s *Scheduler) Allocate(n int) ([]int, error) {
 	return alloc, nil
 }
 
+// Place is topology-aware placement of an n-node job on an empty
+// machine: Allocate(n) on a fresh TopologyAware scheduler over topo. The
+// application models place every sweep point this way.
+func Place(topo topology.Topology, n int) ([]int, error) {
+	return New(topo, TopologyAware, 1).Allocate(n)
+}
+
 func (s *Scheduler) allocateLinear(n int) []int {
 	alloc := make([]int, 0, n)
 	for i := 0; i < len(s.busy) && len(alloc) < n; i++ {
@@ -115,15 +122,18 @@ func (s *Scheduler) allocateRandom(n int) []int {
 
 // allocateTopology grows the job around the free node whose neighbourhood
 // is densest: it tries each free node as a seed (every len(free)/48-th one
-// on big clusters), costs the seed by the summed hop distance of its n
-// nearest free nodes, ties broken on node index, and keeps the cheapest
-// seed. On equal cost the earlier seed wins.
+// once more than 48 nodes are free, so fewer than 96 seeds: 95 at 95 free
+// nodes, 50 at 100, 48 on the 6144-node partition), costs the seed by the
+// summed hop distance of its n nearest free nodes, ties broken on node
+// index, and keeps the cheapest seed. On equal cost the earlier seed wins.
 //
 // Hop distances are bounded by the diameter, so a seed is costed by
-// counting selection over a histogram of distances instead of a sort: the
-// call makes seeds × len(free) Hops calls and allocates a constant number
-// of buffers, reused across seeds. Only the winning seed's allocation is
-// built.
+// counting selection over a histogram of distances instead of a sort. On
+// an empty machine the histogram is the topology's closed-form HopCounts,
+// so costing the seeds makes no Hops call at all; on a partly busy one
+// each seed takes len(free) Hops calls. Either way the winning seed then
+// takes one pass of len(free) Hops calls to build its allocation, and the
+// call allocates a constant number of buffers, reused across seeds.
 func (s *Scheduler) allocateTopology(n int) []int {
 	free := make([]int, 0, s.FreeNodes())
 	for i, b := range s.busy {
@@ -139,7 +149,11 @@ func (s *Scheduler) allocateTopology(n int) []int {
 	hist := make([]int, s.topo.Diameter()+1)
 	bestSeed, bestCost := -1, 0
 	for si := 0; si < len(free); si += seedStride {
-		s.distances(free[si], free, hops, hist)
+		if s.nBusy == 0 {
+			s.topo.HopCounts(free[si], hist)
+		} else {
+			s.distances(free[si], free, hops, hist)
+		}
 		if cost, _, _ := nearest(hist, n); bestSeed < 0 || cost < bestCost {
 			bestSeed, bestCost = free[si], cost
 		}

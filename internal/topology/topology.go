@@ -21,6 +21,12 @@ type Topology interface {
 	Hops(a, b int) int
 	// Diameter returns the maximum Hops over all pairs.
 	Diameter() int
+	// HopCounts fills hist[h] with the number of nodes at distance h
+	// from a, for every node including a itself: the histogram of
+	// Hops(a, b) over all b, computed in closed form without a Hops call
+	// per node. hist must have at least Diameter()+1 entries; any
+	// beyond those are zeroed. It allocates nothing.
+	HopCounts(a int, hist []int)
 }
 
 // Torus is an N-dimensional torus/mesh. Dimensions with wrap=true are rings
@@ -167,6 +173,61 @@ func (t *Torus) Diameter() int {
 	return d
 }
 
+// HopCounts implements Topology. Hops is a sum of independent
+// per-dimension distances over the Cartesian product of coordinates, so
+// the histogram is the convolution of each dimension's distance counts
+// from a's coordinate. It is built in place in hist, one dimension at a
+// time, at O(dims × diameter²) cost.
+func (t *Torus) HopCounts(a int, hist []int) {
+	t.checkNode(a)
+	clear(hist)
+	hist[0] = 1
+	reach := 0 // the largest distance counted so far
+	for d := len(t.dims) - 1; d >= 0; d-- {
+		size := t.dims[d]
+		x := a % size
+		a /= size
+		far := size - 1
+		if t.wrap[d] {
+			far = size / 2
+		}
+		// Descending h reads only entries at or below h, which this pass
+		// has not overwritten yet.
+		for h := reach + far; h >= 0; h-- {
+			sum := 0
+			for k := max(0, h-reach); k <= min(h, far); k++ {
+				sum += hist[h-k] * axisCount(x, size, k, t.wrap[d])
+			}
+			hist[h] = sum
+		}
+		reach += far
+	}
+}
+
+// axisCount is the number of coordinates y in [0, size) at distance k
+// from x along one dimension: a ring has two (one when k is half the
+// size), a line those of x-k and x+k that lie on it.
+func axisCount(x, size, k int, wrap bool) int {
+	switch {
+	case k == 0:
+		return 1
+	case wrap && 2*k < size:
+		return 2
+	case wrap && 2*k == size:
+		return 1
+	case wrap:
+		return 0
+	}
+	n := 0
+	if x-k >= 0 {
+		n++
+	}
+	if x+k < size {
+		n++
+	}
+	return n
+}
+
 // TofuNodeName renders the CTE-Arm node naming scheme: node i of the cluster
 // sits in rack i/48, board (i/12)%4, slot i%12, named "arms<rack>b<board>-<slot>c".
 // The degraded node the paper identifies, arms0b1-11c, is index 23.
@@ -215,6 +276,21 @@ func (f *FatTree) Hops(a, b int) int {
 		return 2
 	}
 	return 4
+}
+
+// HopCounts implements Topology: a itself at 0 hops, the rest of its
+// leaf (the last leaf may be partial) at 2, every other node at 4.
+func (f *FatTree) HopCounts(a int, hist []int) {
+	leaf := f.Leaf(a)
+	clear(hist)
+	hist[0] = 1
+	peers := min(f.leafSize, f.nodes-leaf*f.leafSize) - 1
+	if peers > 0 {
+		hist[2] = peers
+	}
+	if rest := f.nodes - 1 - peers; rest > 0 {
+		hist[4] = rest
+	}
 }
 
 // Diameter implements Topology.

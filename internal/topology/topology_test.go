@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -268,25 +269,44 @@ func coordsHops(t *Torus, a, b int) int {
 	return h
 }
 
-func TestTorusHopsOracle(t *testing.T) {
-	mustTorus := func(name string, dims []int, wrap []bool) *Torus {
-		tr, err := NewTorus(name, dims, wrap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
+// mustTorus builds a torus or fails the test.
+func mustTorus(t *testing.T, name string, dims []int, wrap []bool) *Torus {
+	t.Helper()
+	tr, err := NewTorus(name, dims, wrap)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return tr
+}
+
+// mustTofuD builds a TofuD torus or fails the test.
+func mustTofuD(t *testing.T, nodes int) *Torus {
+	t.Helper()
+	tf, err := NewTofuD(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tf
+}
+
+// mustFatTree builds a fat tree or fails the test.
+func mustFatTree(t *testing.T, nodes, leafSize int) *FatTree {
+	t.Helper()
+	ft, err := NewFatTree(nodes, leafSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft
+}
+
+func TestTorusHopsOracle(t *testing.T) {
 	var small []*Torus
 	for _, n := range []int{12, 24, 48, 192} {
-		tf, err := NewTofuD(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		small = append(small, tf)
+		small = append(small, mustTofuD(t, n))
 	}
 	small = append(small,
-		mustTorus("mesh", []int{5, 4, 3}, []bool{false, false, false}),
-		mustTorus("ring", []int{7, 1, 2, 5}, []bool{true, true, true, true}))
+		mustTorus(t, "mesh", []int{5, 4, 3}, []bool{false, false, false}),
+		mustTorus(t, "ring", []int{7, 1, 2, 5}, []bool{true, true, true, true}))
 	for _, tr := range small {
 		for a := 0; a < tr.Nodes(); a++ {
 			for b := 0; b < tr.Nodes(); b++ {
@@ -297,12 +317,9 @@ func TestTorusHopsOracle(t *testing.T) {
 		}
 	}
 
-	partition, err := NewTofuD(6144)
-	if err != nil {
-		t.Fatal(err)
-	}
+	partition := mustTofuD(t, 6144)
 	// The fugaku machine preset's production shape.
-	fugaku := mustTorus("TofuD", []int{24, 23, 24, 2, 3, 2}, []bool{true, true, true, false, true, false})
+	fugaku := mustTorus(t, "TofuD", []int{24, 23, 24, 2, 3, 2}, []bool{true, true, true, false, true, false})
 	r := xrand.New(17)
 	for _, tr := range []*Torus{partition, fugaku} {
 		n := tr.Nodes()
@@ -330,3 +347,60 @@ func TestTorusHopsAllocFree(t *testing.T) {
 
 // hopsSink keeps measured Hops calls live.
 var hopsSink int
+
+// hopCountsOracle counts Hops(a, b) over every b: the histogram HopCounts
+// must reproduce.
+func hopCountsOracle(topo Topology, a int) []int {
+	hist := make([]int, topo.Diameter()+1)
+	for b := 0; b < topo.Nodes(); b++ {
+		hist[topo.Hops(a, b)]++
+	}
+	return hist
+}
+
+func TestHopCountsOracle(t *testing.T) {
+	type stridedTopo struct {
+		topo   Topology
+		stride int
+	}
+	cases := []stridedTopo{
+		{mustTofuD(t, 12), 1},
+		{mustTofuD(t, 24), 1},
+		{mustTofuD(t, 48), 1},
+		{mustTofuD(t, 96), 1},
+		{mustTorus(t, "mesh", []int{5, 4, 3}, []bool{false, false, false}), 1},
+		{mustTorus(t, "ring", []int{7, 1, 2, 5}, []bool{true, true, true, true}), 1},
+		{mustFatTree(t, 60, 24), 1}, // a partial last leaf of 12
+		{mustTorus(t, "point", []int{1}, []bool{true}), 1},
+		{mustFatTree(t, 1, 24), 1},
+		// The preset fabrics: cte-arm, thunderx2 and mn4 ...
+		{mustTofuD(t, 192), 1},
+		{mustFatTree(t, 40, 20), 1},
+		{mustFatTree(t, 3456, 24), 1},
+		// ... and the Fugaku partition the app sweeps place onto.
+		{mustTofuD(t, 6144), 7},
+	}
+	for _, c := range cases {
+		// Two spare entries, refilled with junk before every call, check
+		// that HopCounts overwrites the whole buffer.
+		hist := make([]int, c.topo.Diameter()+3)
+		for a := 0; a < c.topo.Nodes(); a += c.stride {
+			for i := range hist {
+				hist[i] = -1
+			}
+			c.topo.HopCounts(a, hist)
+			want := append(hopCountsOracle(c.topo, a), 0, 0)
+			if !slices.Equal(hist, want) {
+				t.Fatalf("%s/%d nodes: HopCounts(%d) = %v, counted %v", c.topo.Name(), c.topo.Nodes(), a, hist, want)
+			}
+		}
+	}
+
+	// The seeds a placement costs run HopCounts in a loop: no garbage.
+	for _, topo := range []Topology{mustTofuD(t, 6144), mustFatTree(t, 3456, 24)} {
+		hist := make([]int, topo.Diameter()+1)
+		if allocs := testing.AllocsPerRun(100, func() { topo.HopCounts(topo.Nodes()-17, hist) }); allocs != 0 {
+			t.Errorf("%s: HopCounts allocates %.0f times per call, want 0", topo.Name(), allocs)
+		}
+	}
+}
